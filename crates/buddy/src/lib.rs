@@ -1330,6 +1330,58 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_names_each_corruption() {
+        // A valid base with two runs, (1, 39) and (41, 23): blocks
+        // 1(o0) 2(o1) 4(o2) 8(o3) 16(o4) 32(o3) 41(o0) 42(o1) 44(o2)
+        // 48(o4). Each case breaks exactly one invariant and must be
+        // reported by that invariant's message.
+        let base = || {
+            let mut a = BuddyAllocator::new(64);
+            a.alloc_at(0, 0).unwrap();
+            a.alloc_at(40, 0).unwrap();
+            a.check_invariants().unwrap();
+            assert_eq!(a.free_runs(), vec![(1, 39), (41, 23)]);
+            a
+        };
+        let cases: [(&str, fn(&mut BuddyAllocator)); 13] = [
+            ("free block order out of range", |a| a.order_of[2] = 11),
+            ("free block misaligned", |a| a.order_of[1] = 1),
+            ("free blocks overlap", |a| a.order_of[3] = 0),
+            ("free block out of range", |a| a.order_of[0] = 7),
+            ("unmerged free buddies", |a| {
+                // Split 48(o4) into two order-3 buddies left unmerged.
+                a.order_of[48] = 3;
+                a.order_of[56] = 3;
+                a.counts[4] -= 1;
+                a.counts[3] += 2;
+            }),
+            ("per-order block counts out of sync", |a| a.counts[3] += 1),
+            ("min-start hint above true minimum", |a| a.min_start[0] = 2),
+            ("free frame accounting mismatch", |a| a.free_frames -= 1),
+            ("run index out of sync with order_of", |a| {
+                a.index_remove(41, 23)
+            }),
+            ("run index out of sync with order_of", |a| {
+                a.index_insert(40, 1)
+            }),
+            ("run index out of sync with order_of", |a| {
+                a.index_remove(41, 23);
+                a.index_insert(41, 22);
+            }),
+            ("run index out of sync with order_of", |a| {
+                a.index_remove(1, 39);
+                a.index_insert(1, 40);
+            }),
+            ("size index out of sync with run map", |a| a.size_inc(5)),
+        ];
+        for (want, corrupt) in cases {
+            let mut a = base();
+            corrupt(&mut a);
+            assert_eq!(a.check_invariants(), Err(SimError::Invariant(want)));
+        }
+    }
+
+    #[test]
     fn work_counters_drain_and_accumulate() {
         let mut a = BuddyAllocator::new(1024);
         a.take_work_counters();
