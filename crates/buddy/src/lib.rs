@@ -14,14 +14,18 @@
 //!   aligned block, used by the enhanced memory allocator (EMA) to place a
 //!   page at `GVA - GuestOffset`, and by huge booking to reserve the region
 //!   under a mis-aligned huge page;
-//! - a persistent **free-run index** — maximal free contiguous runs kept
-//!   in an address-ordered map with a size histogram, maintained
-//!   incrementally by every alloc/free. Placement queries
+//! - a persistent **free-run index** — the maximal free contiguous runs,
+//!   kept as two frame-indexed bitsets (first and last frame of every
+//!   run) plus a run-length histogram, updated in O(1) bit flips by every
+//!   alloc/free. Placement queries
 //!   ([`BuddyAllocator::first_run_fitting`],
 //!   [`BuddyAllocator::first_congruent_run`],
-//!   [`BuddyAllocator::largest_free_run`]) answer off the index in
-//!   O(log runs + answers) instead of rescanning memory, feeding the
-//!   Gemini contiguity list and CA-paging's offset establishment;
+//!   [`BuddyAllocator::largest_free_run`]) walk the index run by run
+//!   instead of rescanning memory, feeding the Gemini contiguity list and
+//!   CA-paging's offset establishment;
+//! - [`BuddyAllocator::free_sorted`] — release of a sorted frame set (a
+//!   departing VM's footprint) in time proportional to the set, not to
+//!   the managed range;
 //! - [`BuddyAllocator::free_area_counts`] — per-order free-block counts for
 //!   the fragmentation index (FMFI) that Ingens and Algorithm 1 consume.
 //!
@@ -46,7 +50,7 @@
 //! # Ok::<(), gemini_sim_core::SimError>(())
 //! ```
 
-use gemini_sim_core::{FreeAreaCounts, SimError, HUGE_PAGE_ORDER, PAGES_PER_HUGE_PAGE};
+use gemini_sim_core::{FreeAreaCounts, Hpa, SimError, HUGE_PAGE_ORDER, PAGES_PER_HUGE_PAGE};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -71,17 +75,17 @@ const NO_BLOCK: u8 = u8::MAX;
 /// insertions lower and scans advance, so finding the lowest free block of
 /// an order amortizes to a moving cursor.
 /// On top of the block storage, the allocator keeps a persistent **free-run
-/// index**: the maximal runs of abutting free frames, held in an
-/// address-ordered map (`start → len`) mirrored by a size-ordered set
-/// (`(len, start)`). Every `alloc`/`alloc_at`/`free` updates the index at
+/// index**: the maximal runs of abutting free frames, held as run-start and
+/// run-end bitsets (`RunBits`) mirrored by a size histogram
+/// (`len → count`). Every `alloc`/`alloc_at`/`free` updates the index at
 /// the *net-effect* level — internal block splits and buddy merges never
 /// move a run boundary, so each operation is one range carve or one
-/// adjacency merge, O(log runs) amortized. Run queries
-/// ([`BuddyAllocator::first_run_fitting`],
+/// adjacency merge: a few bit flips plus at most three histogram updates.
+/// Run queries ([`BuddyAllocator::first_run_fitting`],
 /// [`BuddyAllocator::first_congruent_run`],
 /// [`BuddyAllocator::largest_free_run`]) read the index instead of
 /// rescanning `order_of`, which turns every run-consuming policy pass from
-/// O(frames) into O(log runs + answers).
+/// O(frames) into O(runs examined).
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     /// Per-frame free-block-start marker (see type docs).
@@ -95,20 +99,21 @@ pub struct BuddyAllocator {
     total_frames: u64,
     /// Currently free frames.
     free_frames: u64,
-    /// Free-run index, address-ordered: `start → len` of every maximal
-    /// free run. The single source the run iterators and queries read.
-    runs_by_addr: BTreeMap<u64, u64>,
+    /// Free-run index in address order: the first and last frame of
+    /// every maximal free run. The single source the run iterators and
+    /// queries read.
+    runs: RunBits,
     /// Free-run index, size-ordered: histogram `len → number of runs of
-    /// that length`, giving O(log lens) largest-run and fit guards. Keyed
-    /// by length only — fragmented memory has many runs but few distinct
-    /// lengths, so this tree stays far smaller than `runs_by_addr`.
+    /// that length`, giving O(log lens) largest-run and fit guards.
+    /// Fragmented memory has many runs but few distinct lengths, so this
+    /// tree stays small.
     runs_by_size: BTreeMap<u64, u64>,
     /// Work counter: runs examined by index queries since the last
     /// [`BuddyAllocator::take_work_counters`]. `Cell` because queries
     /// take `&self`; the allocator is `Send` (moved whole between
     /// worker threads), never shared across threads.
     run_probes: Cell<u64>,
-    /// Work counter: run-map mutations (inserts + removes) since the
+    /// Work counter: indexed runs inserted, removed or resized since the
     /// last [`BuddyAllocator::take_work_counters`].
     index_updates: Cell<u64>,
     /// False only inside [`BuddyAllocator::bulk_update`], where per-op
@@ -125,29 +130,16 @@ impl BuddyAllocator {
             counts: vec![0; (MAX_ORDER + 1) as usize],
             min_start: vec![0; (MAX_ORDER + 1) as usize],
             total_frames: num_frames,
-            free_frames: 0,
-            runs_by_addr: BTreeMap::new(),
+            free_frames: num_frames,
+            runs: RunBits::new(num_frames),
             runs_by_size: BTreeMap::new(),
             run_probes: Cell::new(0),
             index_updates: Cell::new(0),
             index_live: true,
         };
-        // Carve the range greedily into maximal aligned blocks.
-        let mut frame = 0u64;
-        while frame < num_frames {
-            let align_order = if frame == 0 {
-                MAX_ORDER
-            } else {
-                frame.trailing_zeros().min(MAX_ORDER)
-            };
-            let mut order = align_order;
-            while frame + (1 << order) > num_frames {
-                order -= 1;
-            }
-            alloc.insert_free(frame, order);
-            frame += 1 << order;
+        for (start, order) in aligned_blocks(0, num_frames) {
+            alloc.insert_free(start, order);
         }
-        alloc.free_frames = num_frames;
         // The carved blocks all abut: the whole range is one free run.
         if num_frames > 0 {
             alloc.index_insert(0, num_frames);
@@ -242,9 +234,11 @@ impl BuddyAllocator {
     /// that decomposition run by run — without the per-free merge chain
     /// and overlap scan.
     ///
-    /// Only callable inside [`BuddyAllocator::bulk_update`] (the
-    /// fragmenter's release of unpinned frames), where index maintenance
-    /// is suspended; debug builds assert this.
+    /// The pass is O(frames managed), whatever the number of `frames`:
+    /// right for the fragmenter's release of most of memory, wrong for a
+    /// small footprint (use [`BuddyAllocator::free_sorted`]). Only
+    /// callable inside [`BuddyAllocator::bulk_update`], where index
+    /// maintenance is suspended; debug builds assert this.
     pub fn free_singles(&mut self, frames: &[u64]) -> Result<(), SimError> {
         debug_assert!(!self.index_live, "free_singles outside bulk_update");
         // Expand current free blocks plus the new singles into a bitmap.
@@ -260,7 +254,7 @@ impl BuddyAllocator {
         }
         for &f in frames {
             if f >= self.total_frames || free[f as usize] {
-                return Err(SimError::BadFree(gemini_sim_core::Hpa::from_frame(f)));
+                return Err(bad_free(f));
             }
             free[f as usize] = true;
         }
@@ -277,24 +271,41 @@ impl BuddyAllocator {
             while end < n && free[end] {
                 end += 1;
             }
-            // Greedy carve of the run into maximal aligned blocks.
-            let mut pos = frame as u64;
-            while pos < end as u64 {
-                let align_order = if pos == 0 {
-                    MAX_ORDER
-                } else {
-                    pos.trailing_zeros().min(MAX_ORDER)
-                };
-                let mut order = align_order;
-                while pos + (1 << order) > end as u64 {
-                    order -= 1;
-                }
-                self.insert_free(pos, order);
-                pos += 1 << order;
+            for (start, order) in aligned_blocks(frame as u64, end as u64) {
+                self.insert_free(start, order);
             }
             frame = end;
         }
         self.free_frames += frames.len() as u64;
+        Ok(())
+    }
+
+    /// Frees `frames` — allocated single frames in strictly ascending
+    /// order — through the live index, in time proportional to
+    /// `frames.len()` rather than to the managed range.
+    ///
+    /// Each maximal stretch of consecutive frames is released as one
+    /// range: carved into aligned blocks that merge with their buddies
+    /// exactly as [`BuddyAllocator::free`] merges, then one index update.
+    /// The end state equals [`BuddyAllocator::free_singles`] of the same
+    /// set (the block decomposition of a free-frame set is unique; see
+    /// there). Fails with [`SimError::BadFree`] on a frame that is
+    /// already free, out of range, or out of order; stretches before the
+    /// failing one stay freed.
+    pub fn free_sorted(&mut self, frames: &[u64]) -> Result<(), SimError> {
+        let mut rest = frames;
+        while let Some(&start) = rest.first() {
+            let len = rest
+                .iter()
+                .zip(start..)
+                .take_while(|&(&f, want)| f == want)
+                .count();
+            rest = &rest[len..];
+            if let Some(&next) = rest.first().filter(|&&f| f < start + len as u64) {
+                return Err(bad_free(next));
+            }
+            self.free_range(start, len as u64)?;
+        }
         Ok(())
     }
 
@@ -345,16 +356,32 @@ impl BuddyAllocator {
     /// Fails with [`SimError::BadFree`] when any frame of the block is
     /// already free (double free) or out of range.
     pub fn free(&mut self, start: u64, order: u32) -> Result<(), SimError> {
-        if order > MAX_ORDER
-            || start & ((1 << order) - 1) != 0
-            || start + (1 << order) > self.total_frames
-        {
-            return Err(SimError::BadFree(gemini_sim_core::Hpa::from_frame(start)));
+        if order > MAX_ORDER || start & ((1 << order) - 1) != 0 {
+            return Err(bad_free(start));
         }
-        // Detect overlap with an existing free block.
-        if self.range_overlaps_free(start, 1 << order) {
-            return Err(SimError::BadFree(gemini_sim_core::Hpa::from_frame(start)));
+        self.free_range(start, 1 << order)
+    }
+
+    /// Frees the allocated range `[start, start + len)`: carves it into
+    /// aligned blocks, merges each with its free buddies, and joins the
+    /// range to the free runs in one index update. Buddy merging happens
+    /// strictly inside already-free ground, so the net effect on runs is
+    /// just the range joining them.
+    fn free_range(&mut self, start: u64, len: u64) -> Result<(), SimError> {
+        if start + len > self.total_frames || self.range_overlaps_free(start, len) {
+            return Err(bad_free(start));
         }
+        for (block, order) in aligned_blocks(start, start + len) {
+            self.merge_free(block, order);
+        }
+        self.free_frames += len;
+        self.index_free_range(start, len);
+        Ok(())
+    }
+
+    /// Inserts the free block `(start, order)`, first merging it with its
+    /// free buddy at each order for as long as one exists.
+    fn merge_free(&mut self, start: u64, order: u32) {
         let (mut cur, mut o) = (start, order);
         while o < MAX_ORDER {
             let buddy = cur ^ (1 << o);
@@ -368,11 +395,6 @@ impl BuddyAllocator {
             }
         }
         self.insert_free(cur, o);
-        self.free_frames += 1 << order;
-        // Buddy merging happened strictly inside already-free ground; the
-        // net effect on runs is that the freed range joined them.
-        self.index_free_range(start, 1 << order);
-        Ok(())
     }
 
     /// Returns true when every frame of `[start, start + len)` is free.
@@ -427,10 +449,7 @@ impl BuddyAllocator {
     /// `Vec`, so searches that stop at the first fit (next-fit placement)
     /// touch only the runs they examine.
     pub fn free_runs_iter(&self) -> FreeRuns<'_> {
-        debug_assert!(self.index_live, "query inside bulk_update");
-        FreeRuns {
-            inner: self.runs_by_addr.range(..),
-        }
+        self.free_runs_from(0)
     }
 
     /// Like [`BuddyAllocator::free_runs_iter`], but yields only the maximal
@@ -440,15 +459,13 @@ impl BuddyAllocator {
     /// `free_runs().filter(|r| r.0 >= frame)`.
     pub fn free_runs_from(&self, frame: u64) -> FreeRuns<'_> {
         debug_assert!(self.index_live, "query inside bulk_update");
-        FreeRuns {
-            inner: self.runs_by_addr.range(frame..),
-        }
+        self.runs.runs_from(frame)
     }
 
     /// Re-derives the maximal free runs by scanning `order_of` from
-    /// scratch — the reference the incremental index is checked against
-    /// ([`BuddyAllocator::check_invariants`], property tests). O(frames);
-    /// not for production paths.
+    /// scratch, in O(frames managed): the source
+    /// [`BuddyAllocator::bulk_update`] rebuilds the index from, and the
+    /// reference the property tests hold the incremental index to.
     pub fn free_runs_rescan(&self) -> Vec<(u64, u64)> {
         let n = self.total_frames;
         let mut runs = Vec::new();
@@ -468,7 +485,7 @@ impl BuddyAllocator {
         runs
     }
 
-    /// Length of the largest maximal free run, in frames. O(log runs)
+    /// Length of the largest maximal free run, in frames. O(log lens)
     /// off the size-ordered index.
     pub fn largest_free_run(&self) -> u64 {
         debug_assert!(self.index_live, "query inside bulk_update");
@@ -480,12 +497,12 @@ impl BuddyAllocator {
 
     /// First free run with start `>= cursor` holding at least `len`
     /// frames, as `(start, len)`. Next-fit leg of a cursor scan;
-    /// rejects in O(log runs) when no run anywhere is long enough.
+    /// rejects in O(log lens) when no run anywhere is long enough.
     pub fn first_run_fitting(&self, cursor: u64, len: u64) -> Option<(u64, u64)> {
         if self.largest_free_run() < len {
             return None;
         }
-        for (&start, &rlen) in self.runs_by_addr.range(cursor..) {
+        for (start, rlen) in self.free_runs_from(cursor) {
             self.run_probes.set(self.run_probes.get() + 1);
             if rlen >= len {
                 return Some((start, rlen));
@@ -501,7 +518,7 @@ impl BuddyAllocator {
     ///
     /// This is the core query of contiguity-aware placement (CA-paging's
     /// `establish_offset`, Gemini's contiguity list). Two fast
-    /// rejections make the fragmented case O(log runs): no run is `len`
+    /// rejections make the fragmented case cheap: no run is `len`
     /// long, or — when the anchor is region-aligned and a whole region
     /// is needed — no free block of huge-page order exists (by eager
     /// merging, a congruent fit of `>= 512` aligned frames *is* such a
@@ -510,7 +527,7 @@ impl BuddyAllocator {
         if !self.congruent_fit_possible(in0, len) {
             return None;
         }
-        for (&start, &rlen) in self.runs_by_addr.range(cursor..) {
+        for (start, rlen) in self.free_runs_from(cursor) {
             self.run_probes.set(self.run_probes.get() + 1);
             if congruent_start(start, in0) + len <= start + rlen {
                 return Some((start, rlen));
@@ -528,7 +545,10 @@ impl BuddyAllocator {
         if !self.congruent_fit_possible(in0, len) {
             return None;
         }
-        for (&start, &rlen) in self.runs_by_addr.range(..below) {
+        for (start, rlen) in self
+            .free_runs_iter()
+            .take_while(|&(start, _)| start < below)
+        {
             self.run_probes.set(self.run_probes.get() + 1);
             if congruent_start(start, in0) + len <= start + rlen {
                 return Some((start, rlen));
@@ -548,9 +568,8 @@ impl BuddyAllocator {
     /// holding at least `min_len` frames — the indexed replacement for
     /// collecting a filtered `Vec` and subscripting it.
     pub fn nth_run_at_least(&self, min_len: u64, n: u64) -> Option<(u64, u64)> {
-        debug_assert!(self.index_live, "query inside bulk_update");
         let mut seen = 0u64;
-        for (&start, &rlen) in self.runs_by_addr.iter() {
+        for (start, rlen) in self.free_runs_iter() {
             self.run_probes.set(self.run_probes.get() + 1);
             if rlen >= min_len {
                 if seen == n {
@@ -565,11 +584,10 @@ impl BuddyAllocator {
     /// Runs `f` with per-operation index maintenance suspended, then
     /// rebuilds the run index once from an `order_of` rescan.
     ///
-    /// For bulk churn — e.g. the fragmenter, which allocates every frame
-    /// singly and frees most of them back — per-op maintenance costs
-    /// O(ops x log runs) in `BTreeMap` traffic while the net effect is
-    /// one O(frames) layout. Suspending and rebuilding makes the setup
-    /// cost independent of the number of intermediate operations. The
+    /// For bulk churn over most of memory — the fragmenter, which
+    /// allocates every frame singly and frees most of them back — the
+    /// net effect is one O(frames) layout, so one O(frames) rebuild beats
+    /// maintaining the index through every intermediate operation. The
     /// rebuilt index is identical to what incremental maintenance would
     /// have produced (both equal the rescan), so results are unchanged.
     ///
@@ -577,7 +595,7 @@ impl BuddyAllocator {
     /// not be called from inside `f`; debug builds assert this.
     pub fn bulk_update<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         self.index_live = false;
-        self.runs_by_addr.clear();
+        self.runs.clear();
         self.runs_by_size.clear();
         let out = f(self);
         for (start, len) in self.free_runs_rescan() {
@@ -599,7 +617,8 @@ impl BuddyAllocator {
         self.run_probes.get()
     }
 
-    /// Run-map mutations since the last counter drain.
+    /// Indexed runs inserted, removed or resized since the last counter
+    /// drain.
     pub fn index_updates(&self) -> u64 {
         self.index_updates.get()
     }
@@ -672,14 +691,13 @@ impl BuddyAllocator {
         s
     }
 
-    /// True when `[start, start+len)` intersects any free block.
+    /// True when `[start, start+len)` intersects any free block. A block
+    /// intersecting the range either contains `start` or begins inside
+    /// the range, so the cost is eleven probes plus `len` byte reads.
     fn range_overlaps_free(&self, start: u64, len: u64) -> bool {
         if self.containing_free_block(start).is_some() {
             return true;
         }
-        // A block starting exactly at `start` was already caught above, so
-        // only longer ranges need the interior scan. `len` is at most
-        // `2^MAX_ORDER`, bounding the scan.
         self.order_of[start as usize + 1..(start + len) as usize]
             .iter()
             .any(|&o| o != NO_BLOCK)
@@ -699,19 +717,17 @@ impl BuddyAllocator {
         self.counts[order as usize] -= 1;
     }
 
-    /// Adds run `(start, len)` to both index maps.
+    /// Adds run `(start, len)` to the index.
     fn index_insert(&mut self, start: u64, len: u64) {
-        self.index_updates.set(self.index_updates.get() + 1);
-        self.runs_by_addr.insert(start, len);
+        self.count_index_updates(1);
+        self.runs.set_start(start);
+        self.runs.set_end(start + len - 1);
         self.size_inc(len);
     }
 
-    /// Removes run `(start, len)` from both index maps.
-    fn index_remove(&mut self, start: u64, len: u64) {
-        self.index_updates.set(self.index_updates.get() + 1);
-        let in_addr = self.runs_by_addr.remove(&start) == Some(len);
-        debug_assert!(in_addr, "index out of sync at {start}+{len}");
-        self.size_dec(len);
+    /// Adds `n` to the index-update work counter.
+    fn count_index_updates(&self, n: u64) {
+        self.index_updates.set(self.index_updates.get() + n);
     }
 
     /// Counts one more run of length `len` in the size histogram.
@@ -730,88 +746,112 @@ impl BuddyAllocator {
         }
     }
 
-    /// Records an in-place change of one run's length in the size
-    /// histogram and the update counter (the address map was already
-    /// mutated through `get_mut`/`range_mut`).
-    fn size_resize(&mut self, old_len: u64, new_len: u64) {
-        self.index_updates.set(self.index_updates.get() + 1);
-        self.size_dec(old_len);
-        self.size_inc(new_len);
-    }
-
     /// Index update for an allocation: carve `[start, start + len)` out of
     /// the run containing it, leaving up to two remainder runs. The range
-    /// was fully free, so exactly one indexed run covers it. When the run
-    /// keeps its start (tail or middle carve) the left remainder shrinks
-    /// in place; only a head carve moves the key.
+    /// was fully free, so exactly one indexed run covers it: the last run
+    /// start at or before `start` and the first run end at or after the
+    /// range's last frame bound it. A remainder keeps the run's outer
+    /// boundary bit and gains one new bit at the carve; counted as one
+    /// run removed or resized plus one inserted when a right remainder
+    /// exists.
     fn index_allocate_range(&mut self, start: u64, len: u64) {
         if !self.index_live {
             return;
         }
-        let end = start + len;
-        let (run_start, run_len) = {
-            let (&run_start, run_len) = self
-                .runs_by_addr
-                .range_mut(..=start)
-                .next_back()
-                .expect("allocated range must lie inside an indexed run");
-            let old = *run_len;
-            debug_assert!(run_start + old >= end);
-            if run_start < start {
-                // Left remainder keeps the key; shrink it in place.
-                *run_len = start - run_start;
-            }
-            (run_start, old)
-        };
-        let run_end = run_start + run_len;
-        if run_start == start {
-            self.index_remove(run_start, run_len);
+        let last = start + len - 1;
+        let run_start = self
+            .runs
+            .start_at_or_before(start)
+            .expect("allocated range must lie inside an indexed run");
+        let run_last = self
+            .runs
+            .end_at_or_after(last)
+            .expect("allocated range must lie inside an indexed run");
+        self.size_dec(run_last + 1 - run_start);
+        if run_start < start {
+            self.runs.set_end(start - 1);
+            self.size_inc(start - run_start);
         } else {
-            self.size_resize(run_len, start - run_start);
+            self.runs.clear_start(start);
         }
-        if run_end > end {
-            self.index_insert(end, run_end - end);
+        if run_last > last {
+            self.runs.set_start(last + 1);
+            self.size_inc(run_last - last);
+        } else {
+            self.runs.clear_end(last);
         }
+        self.count_index_updates(1 + u64::from(run_last > last));
     }
 
     /// Index update for a free: the range `[start, start + len)` joins the
-    /// free runs, merging with the run ending exactly at `start` and/or
-    /// the run starting exactly at `start + len`. (A neighbouring free
-    /// frame always terminates its run exactly at the boundary, because
-    /// the range itself was allocated ground.) A left merge keeps the
-    /// predecessor's key and grows it in place — the common case under
-    /// sequential frees.
+    /// free runs, merging with the run ending exactly at `start - 1`
+    /// and/or the run starting exactly at `start + len`. (A neighbouring
+    /// free frame always terminates its run exactly at the boundary,
+    /// because the range itself was allocated ground.) A merged
+    /// neighbour loses its inner boundary bit; an unmatched side gains
+    /// one. Counted as one run inserted or grown, plus one removed when
+    /// a right neighbour is absorbed.
     fn index_free_range(&mut self, start: u64, len: u64) {
         if !self.index_live {
             return;
         }
-        let right_len = self.runs_by_addr.get(&(start + len)).copied();
-        if let Some(next_len) = right_len {
-            self.index_remove(start + len, next_len);
+        let last = start + len - 1;
+        let mut run_start = start;
+        if start > 0 && self.runs.is_end(start - 1) {
+            run_start = self
+                .runs
+                .start_at_or_before(start - 1)
+                .expect("a run end has a run start");
+            self.runs.clear_end(start - 1);
+            self.size_dec(start - run_start);
+        } else {
+            self.runs.set_start(start);
         }
-        let add = len + right_len.unwrap_or(0);
-        let mut grown: Option<u64> = None;
-        if let Some((&prev_start, prev_len)) = self.runs_by_addr.range_mut(..start).next_back() {
-            if prev_start + *prev_len == start {
-                grown = Some(*prev_len);
-                *prev_len += add;
-            }
+        let mut run_last = last;
+        let right = last + 1 < self.total_frames && self.runs.is_start(last + 1);
+        if right {
+            run_last = self
+                .runs
+                .end_at_or_after(last + 1)
+                .expect("a run start has a run end");
+            self.runs.clear_start(last + 1);
+            self.size_dec(run_last - last);
+        } else {
+            self.runs.set_end(last);
         }
-        match grown {
-            Some(old_len) => self.size_resize(old_len, old_len + add),
-            None => self.index_insert(start, add),
-        }
+        self.size_inc(run_last + 1 - run_start);
+        self.count_index_updates(1 + u64::from(right));
     }
 
-    /// Verifies internal invariants; used by tests.
+    /// Verifies every internal invariant in one pass over `order_of`.
     ///
-    /// Checks that free lists and the block index agree, blocks are aligned
-    /// and disjoint, the free-frame count matches, and no two free buddies
-    /// coexist unmerged.
+    /// Not only for tests: it runs after every leak-checked VM teardown
+    /// (`Machine::remove_vm`), so it is one O(frames managed) pass with a
+    /// small constant. Checks that blocks are in-range,
+    /// aligned, disjoint and merged with their buddies; that the
+    /// per-order counts, min-start hints and free-frame count match the
+    /// blocks; and that the run index — both bitsets, their summary and
+    /// the size histogram — equals the maximal runs the blocks form.
+    /// Each violation is reported by its own [`SimError::Invariant`].
     pub fn check_invariants(&self) -> Result<(), SimError> {
+        let n = self.total_frames;
+        let mut per_order = [0u64; (MAX_ORDER + 1) as usize];
+        let mut lowest = [u64::MAX; (MAX_ORDER + 1) as usize];
         let mut counted = 0u64;
+        // Runs per length, indexed by length: a run is 1..=n frames.
+        let mut by_len = vec![0u64; n as usize + 1];
+        let mut runs = 0u64;
+        // The run being accumulated: its start; it ends at `prev_end`.
+        let mut open: Option<u64> = None;
         let mut prev_end = 0u64;
-        let mut per_order = vec![0u64; (MAX_ORDER + 1) as usize];
+        let mut close_run = |start: u64, end: u64| {
+            if !self.runs.is_start(start) || !self.runs.is_end(end - 1) {
+                return Err(SimError::Invariant("run index out of sync with order_of"));
+            }
+            by_len[(end - start) as usize] += 1;
+            runs += 1;
+            Ok(())
+        };
         for (f, &marker) in self.order_of.iter().enumerate() {
             if marker == NO_BLOCK {
                 continue;
@@ -820,39 +860,43 @@ impl BuddyAllocator {
             if order > MAX_ORDER {
                 return Err(SimError::Invariant("free block order out of range"));
             }
-            per_order[order as usize] += 1;
             if start & ((1 << order) - 1) != 0 {
                 return Err(SimError::Invariant("free block misaligned"));
             }
             if start < prev_end {
                 return Err(SimError::Invariant("free blocks overlap"));
             }
+            // A block abutting the previous one extends its run.
+            if open.is_none() || start != prev_end {
+                if let Some(run_start) = open {
+                    close_run(run_start, prev_end)?;
+                }
+                open = Some(start);
+            }
             prev_end = start + (1 << order);
-            if prev_end > self.total_frames {
+            if prev_end > n {
                 return Err(SimError::Invariant("free block out of range"));
             }
             counted += 1 << order;
+            per_order[order as usize] += 1;
+            if lowest[order as usize] == u64::MAX {
+                lowest[order as usize] = start;
+            }
             if order < MAX_ORDER {
                 let buddy = start ^ (1u64 << order);
-                if buddy < self.total_frames && self.order_of[buddy as usize] == order as u8 {
+                if buddy < n && self.order_of[buddy as usize] == order as u8 {
                     return Err(SimError::Invariant("unmerged free buddies"));
                 }
             }
         }
-        if per_order != self.counts {
+        if let Some(run_start) = open {
+            close_run(run_start, prev_end)?;
+        }
+        if per_order[..] != self.counts[..] {
             return Err(SimError::Invariant("per-order block counts out of sync"));
         }
-        for o in 0..=MAX_ORDER as usize {
-            if self.counts[o] > 0 {
-                let lowest = self
-                    .order_of
-                    .iter()
-                    .position(|&m| m == o as u8)
-                    .expect("count > 0 implies a block exists") as u64;
-                if self.min_start[o] > lowest {
-                    return Err(SimError::Invariant("min-start hint above true minimum"));
-                }
-            }
+        if (0..=MAX_ORDER as usize).any(|o| per_order[o] > 0 && self.min_start[o] > lowest[o]) {
+            return Err(SimError::Invariant("min-start hint above true minimum"));
         }
         let listed: u64 = self
             .counts
@@ -863,25 +907,48 @@ impl BuddyAllocator {
         if counted != self.free_frames || listed != self.free_frames {
             return Err(SimError::Invariant("free frame accounting mismatch"));
         }
-        // The incremental run index must equal a fresh rescan and its two
-        // maps must mirror each other.
-        let rescan = self.free_runs_rescan();
-        if self.runs_by_addr.len() != rescan.len()
-            || !rescan
-                .iter()
-                .all(|&(s, l)| self.runs_by_addr.get(&s) == Some(&l))
-        {
+        // Every run's two bits are set; the index matches exactly when no
+        // other bit is, and the summary marks exactly the non-empty words.
+        if !self.runs.consistent_with(runs) {
             return Err(SimError::Invariant("run index out of sync with order_of"));
         }
-        let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(_, l) in &rescan {
-            *histogram.entry(l).or_insert(0) += 1;
+        // Every histogram entry matches the runs of its length, and the
+        // entries account for every run, so no length is missing.
+        let mut histogram_runs = 0u64;
+        for (&len, &count) in &self.runs_by_size {
+            if count == 0 || by_len.get(len as usize) != Some(&count) {
+                return Err(SimError::Invariant("size index out of sync with run map"));
+            }
+            histogram_runs += count;
         }
-        if self.runs_by_size != histogram {
+        if histogram_runs != runs {
             return Err(SimError::Invariant("size index out of sync with run map"));
         }
         Ok(())
     }
+}
+
+/// The `SimError` for a bad free at `frame`.
+fn bad_free(frame: u64) -> SimError {
+    SimError::BadFree(Hpa::from_frame(frame))
+}
+
+/// Maximal aligned blocks covering `[start, end)`, in address order: the
+/// greedy carve behind [`BuddyAllocator::new`] and every range release.
+/// On a maximal free run it yields exactly the unique eagerly-merged
+/// block decomposition.
+fn aligned_blocks(start: u64, end: u64) -> impl Iterator<Item = (u64, u32)> {
+    let mut pos = start;
+    std::iter::from_fn(move || {
+        if pos >= end {
+            return None;
+        }
+        // As aligned as `pos` allows, as large as what is left allows.
+        let order = pos.trailing_zeros().min((end - pos).ilog2()).min(MAX_ORDER);
+        let block = (pos, order);
+        pos += 1 << order;
+        Some(block)
+    })
 }
 
 /// First frame `>= start` congruent to `in0` modulo the huge page size —
@@ -897,20 +964,273 @@ fn congruent_start(start: u64, in0: u64) -> u64 {
     }
 }
 
+/// The free-run index: one bitset marking the first frame of every
+/// maximal free run, one marking the last, and a two-level summary of
+/// which bitset words are non-zero.
+///
+/// Runs are disjoint, so in address order the marks alternate start,
+/// end, start, end (a one-frame run carries both on one frame), and the
+/// k-th start pairs with the k-th end. Moving a run boundary is a bit
+/// flip plus summary upkeep; finding the run around a frame is a search
+/// for the nearest start before it and end after it, which the summary
+/// keeps to a few word reads however much empty or fully free ground
+/// lies in between (its top level is scanned linearly, one word per
+/// 2^18 frames).
+#[derive(Debug, Clone)]
+struct RunBits {
+    starts: Vec<u64>,
+    ends: Vec<u64>,
+    /// Bit `w` set while word `w` of `starts` or `ends` is non-zero.
+    summary: Vec<u64>,
+    /// Bit `s` set while `summary[s]` is non-zero.
+    top: Vec<u64>,
+}
+
+/// The bitset word holding frame `f`.
+fn word_of(f: u64) -> usize {
+    (f / 64) as usize
+}
+
+/// Frame `f`'s bit inside its word.
+fn bit_of(f: u64) -> u64 {
+    1 << (f % 64)
+}
+
+/// The lowest set bit of `bits` at or after bit `i`.
+fn next_one(bits: &[u64], i: usize) -> Option<usize> {
+    let mut w = i / 64;
+    let mut word = bits.get(w)? & (!0u64 << (i % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
+/// The highest set bit of `bits` at or before bit `i`.
+fn prev_one(bits: &[u64], i: usize) -> Option<usize> {
+    let mut w = i / 64;
+    let mut word = bits[w] & (!0u64 >> (63 - i % 64));
+    while word == 0 {
+        w = w.checked_sub(1)?;
+        word = bits[w];
+    }
+    Some(w * 64 + 63 - word.leading_zeros() as usize)
+}
+
+impl RunBits {
+    fn new(frames: u64) -> Self {
+        let words = frames.div_ceil(64) as usize;
+        let summary_words = words.div_ceil(64);
+        Self {
+            starts: vec![0; words],
+            ends: vec![0; words],
+            summary: vec![0; summary_words],
+            top: vec![0; summary_words.div_ceil(64)],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.starts.fill(0);
+        self.ends.fill(0);
+        self.summary.fill(0);
+        self.top.fill(0);
+    }
+
+    fn is_start(&self, f: u64) -> bool {
+        self.starts[word_of(f)] & bit_of(f) != 0
+    }
+
+    fn is_end(&self, f: u64) -> bool {
+        self.ends[word_of(f)] & bit_of(f) != 0
+    }
+
+    fn set_start(&mut self, f: u64) {
+        self.starts[word_of(f)] |= bit_of(f);
+        self.mark(word_of(f));
+    }
+
+    fn set_end(&mut self, f: u64) {
+        self.ends[word_of(f)] |= bit_of(f);
+        self.mark(word_of(f));
+    }
+
+    fn clear_start(&mut self, f: u64) {
+        self.starts[word_of(f)] &= !bit_of(f);
+        self.unmark_if_empty(word_of(f));
+    }
+
+    fn clear_end(&mut self, f: u64) {
+        self.ends[word_of(f)] &= !bit_of(f);
+        self.unmark_if_empty(word_of(f));
+    }
+
+    fn mark(&mut self, w: usize) {
+        let s = w / 64;
+        self.summary[s] |= 1 << (w % 64);
+        self.top[s / 64] |= 1 << (s % 64);
+    }
+
+    fn unmark_if_empty(&mut self, w: usize) {
+        if self.starts[w] | self.ends[w] == 0 {
+            let s = w / 64;
+            self.summary[s] &= !(1 << (w % 64));
+            if self.summary[s] == 0 {
+                self.top[s / 64] &= !(1 << (s % 64));
+            }
+        }
+    }
+
+    /// The first non-empty word after word `w`.
+    #[inline]
+    fn next_word(&self, w: usize) -> Option<usize> {
+        let w = w + 1;
+        let s = w / 64;
+        let here = self.summary.get(s)? & (!0u64 << (w % 64));
+        let (s, bits) = if here != 0 {
+            (s, here)
+        } else {
+            let s = next_one(&self.top, s + 1)?;
+            (s, self.summary[s])
+        };
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The last non-empty word before word `w`.
+    fn prev_word(&self, w: usize) -> Option<usize> {
+        let w = w.checked_sub(1)?;
+        let s = w / 64;
+        let here = self.summary[s] & (!0u64 >> (63 - w % 64));
+        let (s, bits) = if here != 0 {
+            (s, here)
+        } else {
+            let s = prev_one(&self.top, s.checked_sub(1)?)?;
+            (s, self.summary[s])
+        };
+        Some(s * 64 + 63 - bits.leading_zeros() as usize)
+    }
+
+    /// The last run start at or before frame `f`.
+    fn start_at_or_before(&self, f: u64) -> Option<u64> {
+        let mut w = word_of(f);
+        let mut bits = self.starts[w] & (!0u64 >> (63 - f % 64));
+        while bits == 0 {
+            w = self.prev_word(w)?;
+            bits = self.starts[w];
+        }
+        Some(w as u64 * 64 + 63 - bits.leading_zeros() as u64)
+    }
+
+    /// The first mark of `bits` (the starts or the ends) at or after
+    /// frame `f`.
+    fn first_at_or_after(&self, bits: &[u64], f: u64) -> Option<u64> {
+        let mut w = word_of(f);
+        let mut word = bits.get(w)? & (!0u64 << (f % 64));
+        while word == 0 {
+            w = self.next_word(w)?;
+            word = bits[w];
+        }
+        Some(w as u64 * 64 + word.trailing_zeros() as u64)
+    }
+
+    /// The first run end at or after frame `f`.
+    fn end_at_or_after(&self, f: u64) -> Option<u64> {
+        self.first_at_or_after(&self.ends, f)
+    }
+
+    /// A cursor over the runs whose start is at or after frame `f`.
+    fn runs_from(&self, f: u64) -> FreeRuns<'_> {
+        let mut cursor = FreeRuns {
+            runs: self,
+            word: self.starts.len(),
+            starts: 0,
+            ends: 0,
+        };
+        if let Some(start) = self.first_at_or_after(&self.starts, f) {
+            // Marks below the first start belong to runs that began
+            // before `f`.
+            let keep = !0u64 << (start % 64);
+            cursor.word = word_of(start);
+            cursor.starts = self.starts[cursor.word] & keep;
+            cursor.ends = self.ends[cursor.word] & keep;
+        }
+        cursor
+    }
+
+    /// True when the bitsets hold exactly `runs` starts and `runs` ends
+    /// and both summary levels mark exactly the non-empty words below.
+    fn consistent_with(&self, runs: u64) -> bool {
+        let ones = |bits: &[u64]| bits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        if ones(&self.starts) != runs || ones(&self.ends) != runs {
+            return false;
+        }
+        let mut rebuilt = RunBits {
+            starts: Vec::new(),
+            ends: Vec::new(),
+            summary: vec![0; self.summary.len()],
+            top: vec![0; self.top.len()],
+        };
+        for (w, (s, e)) in self.starts.iter().zip(&self.ends).enumerate() {
+            if s | e != 0 {
+                rebuilt.mark(w);
+            }
+        }
+        rebuilt.summary == self.summary && rebuilt.top == self.top
+    }
+}
+
 /// Lazy iterator over maximal free runs; see
-/// [`BuddyAllocator::free_runs_iter`]. A thin view over the persistent
-/// run index — each `next` is one B-tree step, independent of how much
-/// allocated ground separates the runs.
+/// [`BuddyAllocator::free_runs_iter`]. A word cursor over the run index:
+/// it pops the next start and then the next end off the current pair of
+/// bitset words, and jumps over empty words through the summary — a few
+/// bit operations per run, however much allocated ground separates the
+/// runs.
 #[derive(Debug)]
 pub struct FreeRuns<'a> {
-    inner: std::collections::btree_map::Range<'a, u64, u64>,
+    runs: &'a RunBits,
+    /// The bitset word under the cursor.
+    word: usize,
+    /// Starts of `word` not yet yielded.
+    starts: u64,
+    /// Ends of `word` not yet yielded.
+    ends: u64,
+}
+
+impl FreeRuns<'_> {
+    /// Moves the cursor to the next non-empty word: on dense layouts
+    /// the adjacent one, read directly; otherwise found through the
+    /// summary.
+    #[inline]
+    fn advance(&mut self) -> Option<()> {
+        let mut next = self.word + 1;
+        let (mut starts, mut ends) = (*self.runs.starts.get(next)?, self.runs.ends[next]);
+        if starts | ends == 0 {
+            next = self.runs.next_word(next)?;
+            (starts, ends) = (self.runs.starts[next], self.runs.ends[next]);
+        }
+        (self.word, self.starts, self.ends) = (next, starts, ends);
+        Some(())
+    }
 }
 
 impl Iterator for FreeRuns<'_> {
     type Item = (u64, u64);
 
+    #[inline]
     fn next(&mut self) -> Option<(u64, u64)> {
-        self.inner.next().map(|(&start, &len)| (start, len))
+        // Every end before the cursor's next start was yielded with its
+        // run, so the next start opens a run and the next end closes it.
+        while self.starts == 0 {
+            self.advance()?;
+        }
+        let start = self.word as u64 * 64 + self.starts.trailing_zeros() as u64;
+        self.starts &= self.starts - 1;
+        while self.ends == 0 {
+            self.advance()?;
+        }
+        let last = self.word as u64 * 64 + self.ends.trailing_zeros() as u64;
+        self.ends &= self.ends - 1;
+        Some((start, last + 1 - start))
     }
 }
 
@@ -1343,7 +1663,15 @@ mod tests {
             assert_eq!(a.free_runs(), vec![(1, 39), (41, 23)]);
             a
         };
-        let cases: [(&str, fn(&mut BuddyAllocator)); 13] = [
+        // Drops run `(start, len)` from the index, bits and histogram,
+        // leaving the blocks alone.
+        fn unindex(a: &mut BuddyAllocator, start: u64, len: u64) {
+            a.runs.clear_start(start);
+            a.runs.clear_end(start + len - 1);
+            a.size_dec(len);
+        }
+        type Corruption = fn(&mut BuddyAllocator);
+        let cases: [(&str, Corruption); 17] = [
             ("free block order out of range", |a| a.order_of[2] = 11),
             ("free block misaligned", |a| a.order_of[1] = 1),
             ("free blocks overlap", |a| a.order_of[3] = 0),
@@ -1359,19 +1687,32 @@ mod tests {
             ("min-start hint above true minimum", |a| a.min_start[0] = 2),
             ("free frame accounting mismatch", |a| a.free_frames -= 1),
             ("run index out of sync with order_of", |a| {
-                a.index_remove(41, 23)
+                unindex(a, 41, 23)
             }),
             ("run index out of sync with order_of", |a| {
                 a.index_insert(40, 1)
             }),
             ("run index out of sync with order_of", |a| {
-                a.index_remove(41, 23);
+                unindex(a, 41, 23);
                 a.index_insert(41, 22);
             }),
             ("run index out of sync with order_of", |a| {
-                a.index_remove(1, 39);
+                unindex(a, 1, 39);
                 a.index_insert(1, 40);
             }),
+            // A stray run-end bit inside a run.
+            ("run index out of sync with order_of", |a| {
+                a.runs.set_end(20)
+            }),
+            // A summary level forgets a non-empty word, or marks a
+            // missing one.
+            ("run index out of sync with order_of", |a| {
+                a.runs.summary[0] = 0
+            }),
+            ("run index out of sync with order_of", |a| {
+                a.runs.summary[0] |= 2
+            }),
+            ("run index out of sync with order_of", |a| a.runs.top[0] = 0),
             ("size index out of sync with run map", |a| a.size_inc(5)),
         ];
         for (want, corrupt) in cases {

@@ -8,7 +8,7 @@
 //! accounting conserves memory.
 
 use gemini_buddy::{BuddyAllocator, MAX_ORDER};
-use gemini_sim_core::DetRng;
+use gemini_sim_core::{DetRng, HUGE_PAGE_ORDER};
 
 const CASES: u64 = 64;
 
@@ -87,11 +87,27 @@ fn run_index_matches_rescan_after_arbitrary_interleavings() {
     // indexed queries must agree with naive derivations from that
     // rescan. (`check_invariants`, called per step, also cross-checks
     // the index; this test additionally pins the query semantics.)
-    let mut seeds = DetRng::new(0xB0DD_1E05);
-    for _ in 0..CASES {
+    index_matches_rescan(0xB0DD_1E05, CASES, (512, 6000), 150);
+}
+
+#[test]
+fn run_index_matches_rescan_on_sparse_allocators() {
+    // Large, mostly free allocators: runs lie thousands of frames apart,
+    // so neighbour searches and the run cursor cross whole summary
+    // words (and, past 2^18 frames, top-level words), which dense
+    // fragmented layouts rarely make them do.
+    index_matches_rescan(0xB0DD_1E07, 16, (100_000, 600_000), 40);
+}
+
+/// Random alloc / alloc_at / free interleavings on `cases` allocators
+/// of `frames` (half-open range) frames, checking the index and every
+/// query against a rescan after each of up to `max_ops` steps.
+fn index_matches_rescan(seed: u64, cases: u64, frames: (u64, u64), max_ops: u64) {
+    let mut seeds = DetRng::new(seed);
+    for _ in 0..cases {
         let mut rng = seeds.fork();
-        let num_frames = rng.range(512, 6000);
-        let n_ops = rng.range(1, 150);
+        let num_frames = rng.range(frames.0, frames.1);
+        let n_ops = rng.range(1, max_ops);
         let mut a = BuddyAllocator::new(num_frames);
         let mut live: Vec<(u64, u32)> = Vec::new();
         for _ in 0..n_ops {
@@ -120,6 +136,14 @@ fn run_index_matches_rescan_after_arbitrary_interleavings() {
             let largest = rescan.iter().map(|&(_, l)| l).max().unwrap_or(0);
             assert_eq!(a.largest_free_run(), largest);
             let cursor = rng.below(num_frames + 1);
+            assert_eq!(
+                a.free_runs_from(cursor).collect::<Vec<_>>(),
+                rescan
+                    .iter()
+                    .copied()
+                    .filter(|&(s, _)| s >= cursor)
+                    .collect::<Vec<_>>()
+            );
             let need = rng.range(1, 1024);
             assert_eq!(
                 a.first_run_fitting(cursor, need),
@@ -195,6 +219,40 @@ fn bulk_update_rebuild_equals_incremental_maintenance() {
         assert_eq!(incremental.free_runs(), bulk.free_runs());
         assert_eq!(incremental.used_frames(), bulk.used_frames());
         bulk.check_invariants().unwrap();
+
+        // Release a random subset of the allocated frames two ways: the
+        // sorted live release (per stretch of consecutive frames, index
+        // maintained) and the bulk path (bitmap rebuild, index rebuilt
+        // from rescan). Both must land on the same allocator.
+        let released: Vec<u64> = (0..num_frames)
+            .filter(|&f| !incremental.is_frame_free(f) && rng.below(2) == 0)
+            .collect();
+        let mut live = incremental.clone();
+        live.free_sorted(&released).unwrap();
+        let mut rebuilt = incremental.clone();
+        rebuilt.bulk_update(|b| b.free_singles(&released)).unwrap();
+        live.check_invariants().unwrap();
+        rebuilt.check_invariants().unwrap();
+        assert_eq!(live.free_runs(), rebuilt.free_runs());
+        assert_eq!(live.free_frames(), rebuilt.free_frames());
+        for o in 0..=MAX_ORDER {
+            assert_eq!(
+                live.free_blocks_of_order(o),
+                rebuilt.free_blocks_of_order(o)
+            );
+        }
+        assert_eq!(
+            live.fragmentation_index(HUGE_PAGE_ORDER),
+            rebuilt.fragmentation_index(HUGE_PAGE_ORDER)
+        );
+        // A frame freed twice, or out of order, is a bad free.
+        if let Some(&f) = released.first() {
+            assert!(live.free_sorted(&[f]).is_err());
+        }
+        if released.len() >= 2 {
+            let mut fresh = incremental.clone();
+            assert!(fresh.free_sorted(&[released[1], released[0]]).is_err());
+        }
     }
 }
 

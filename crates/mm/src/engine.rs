@@ -213,22 +213,24 @@ impl<L: Layer> LayerEngine<L> {
     /// its touch counters. Returns the number of base-page-equivalent
     /// frames returned to the allocator.
     ///
-    /// The whole release runs under one [`BuddyAllocator::bulk_update`]
-    /// so the persistent free-run index is rebuilt once from a rescan
-    /// instead of being patched per frame — teardown of a large VM is a
-    /// single index rebuild, and the rebuilt index is byte-identical to
-    /// the rescan by construction.
+    /// The release goes through the live free-run index: each huge frame
+    /// is one `free`, and the base frames, sorted, are freed as maximal
+    /// runs of consecutive frames ([`BuddyAllocator::free_sorted`]). The
+    /// cost follows the VM's footprint, not the layer's size; the end
+    /// state is the same whatever the free order, because the buddy
+    /// decomposition of a free-frame set is unique.
     pub fn unregister_vm(&mut self, vm: VmId) -> Result<u64, SimError> {
         let table = self.tables.remove(&vm).ok_or(SimError::UnknownVm(vm))?;
-        let huge: Vec<u64> = table.iter_huge().map(|(_, pa_huge)| pa_huge).collect();
-        let base: Vec<u64> = table.iter_base().map(|(_, pa)| pa).collect();
-        let freed = (huge.len() as u64) * (1u64 << HUGE_PAGE_ORDER) + base.len() as u64;
-        self.buddy.bulk_update(|b| -> Result<(), SimError> {
-            for pa_huge in huge {
-                b.free(pa_huge << HUGE_PAGE_ORDER, HUGE_PAGE_ORDER)?;
-            }
-            b.free_singles(&base)
-        })?;
+        let mut freed = 0u64;
+        for (_, pa_huge) in table.iter_huge() {
+            self.buddy
+                .free(pa_huge << HUGE_PAGE_ORDER, HUGE_PAGE_ORDER)?;
+            freed += 1 << HUGE_PAGE_ORDER;
+        }
+        let mut base: Vec<u64> = table.iter_base().map(|(_, pa)| pa).collect();
+        base.sort_unstable();
+        self.buddy.free_sorted(&base)?;
+        freed += base.len() as u64;
         self.touches.remove(&vm);
         self.drain_buddy_work();
         Ok(freed)
