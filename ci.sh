@@ -42,6 +42,12 @@ echo "== VM lifecycle churn properties (GEMINI_JOBS=2) =="
 # reclaimed-frame accounting matches the teardowns.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test fleet_lifecycle
 
+echo "== benchmark build + tests (perfbench, quick scale) =="
+# The benchmark is a package of its own, outside the workspace, and its
+# probes call gemini_buddy and Machine::remove_vm directly: build and
+# test it so an API change cannot break it unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc (workspace, no-deps, -D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
@@ -99,7 +105,7 @@ echo "== bench report + perf gate (quick scale, BENCH_pr10_quick.json) =="
 # otherwise against the committed BENCH_pr7.json (demo scale — the
 # absolute walls differ by design, so the first diff is informational).
 # The report now carries the schema-additive fleet section (VM count,
-# churn events, end-state FMFI); the diff matches cells by label, so
+# churn events, mean host FMFI); the diff matches cells by label, so
 # comparing against pre-fleet reports stays valid.
 if [ -f BENCH_pr10_quick.json ]; then
     mv BENCH_pr10_quick.json BENCH_prev_quick.json

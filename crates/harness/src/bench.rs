@@ -123,9 +123,11 @@ pub struct FleetBenchSection {
     pub churn_events: u64,
     /// Wall time of the whole fleet grid, milliseconds.
     pub wall_ms: f64,
-    /// Mean end-state host FMFI per system `(label, fmfi)`, after every
-    /// VM was torn down through the leak-checked `remove_vm` path.
-    pub end_host_fmfi: Vec<(String, f64)>,
+    /// Per system `(label, fmfi)`: the time-weighted mean host FMFI of
+    /// the sampled series, averaged over the system's hosts
+    /// ([`crate::experiments::fleet::FleetResults::mean_fmfi`]); `None`
+    /// when no host sampled a point.
+    pub mean_host_fmfi: Vec<(String, Option<f64>)>,
 }
 
 /// Closed-form hit-run batching measurements of the reference cell:
@@ -449,9 +451,9 @@ pub fn run_bench(scale: &Scale, scale_name: &str, jobs_max: usize) -> Result<Ben
         vms: fleet_res.total_vms() as u64,
         churn_events: fleet_res.total_churn_events(),
         wall_ms: fleet_wall_ms,
-        end_host_fmfi: crate::experiments::fleet::SYSTEMS
+        mean_host_fmfi: crate::experiments::fleet::SYSTEMS
             .iter()
-            .map(|s| (s.label().to_string(), fleet_res.end_fmfi(s.label())))
+            .map(|s| (s.label().to_string(), fleet_res.mean_fmfi(s.label())))
             .collect(),
     });
 
@@ -710,19 +712,19 @@ impl BenchReport {
         match &self.fleet {
             Some(f) => {
                 let fmfi = f
-                    .end_host_fmfi
+                    .mean_host_fmfi
                     .iter()
                     .map(|(s, v)| {
                         format!(
                             "{{\"system\": {}, \"fmfi\": {}}}",
                             json_str(s),
-                            json_f64(*v)
+                            v.map_or("null".to_string(), json_f64)
                         )
                     })
                     .collect::<Vec<_>>()
                     .join(", ");
                 out.push_str(&format!(
-                    "  \"fleet\": {{\"vms\": {}, \"churn_events\": {}, \"wall_ms\": {}, \"end_host_fmfi\": [{}]}}\n",
+                    "  \"fleet\": {{\"vms\": {}, \"churn_events\": {}, \"wall_ms\": {}, \"mean_host_fmfi\": [{}]}}\n",
                     f.vms,
                     f.churn_events,
                     json_f64(f.wall_ms),
@@ -791,7 +793,7 @@ mod tests {
                 vms: 250,
                 churn_events: 500,
                 wall_ms: 1_200.0,
-                end_host_fmfi: vec![("THP".into(), 0.12), ("GEMINI".into(), 0.03)],
+                mean_host_fmfi: vec![("THP".into(), Some(0.72)), ("GEMINI".into(), None)],
             }),
         }
     }
@@ -833,7 +835,7 @@ mod tests {
             "\"jobs_sweep\"",
             "\"fleet\"",
             "\"churn_events\"",
-            "\"end_host_fmfi\"",
+            "\"mean_host_fmfi\"",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
@@ -905,7 +907,7 @@ mod tests {
         assert_eq!(fleet.get("vms").and_then(|x| x.as_f64()), Some(250.0));
         assert_eq!(
             fleet
-                .get("end_host_fmfi")
+                .get("mean_host_fmfi")
                 .and_then(|x| x.as_arr())
                 .map(|a| a.len()),
             Some(2)

@@ -713,7 +713,7 @@ fn cmd_fleet(opts: &Opts) -> Result<(), String> {
             format!(
                 concat!(
                     "{{\"system\":\"{}\",\"host\":{},\"vms\":{},\"churn_events\":{},",
-                    "\"peak_resident\":{},\"frames_reclaimed\":{},\"end_host_fmfi\":{:.6},",
+                    "\"peak_resident\":{},\"frames_reclaimed\":{},\"mean_host_fmfi\":{},",
                     "\"end_free_order9\":{},\"mean_aligned_rate\":{:.6},\"samples\":{}}}"
                 ),
                 r.system,
@@ -722,7 +722,8 @@ fn cmd_fleet(opts: &Opts) -> Result<(), String> {
                 r.outcome.churn_events,
                 r.outcome.peak_resident,
                 r.outcome.frames_reclaimed(),
-                r.outcome.end_host_fmfi,
+                r.mean_host_fmfi()
+                    .map_or("null".to_string(), |f| format!("{f:.6}")),
                 r.outcome.end_free_order9,
                 r.outcome.mean_aligned_rate(),
                 r.samples.len(),
@@ -828,13 +829,16 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     );
     if let Some(fleet) = &report.fleet {
         let fmfi = fleet
-            .end_host_fmfi
+            .mean_host_fmfi
             .iter()
-            .map(|(s, v)| format!("{s} {v:.3}"))
+            .map(|(s, v)| match v {
+                Some(v) => format!("{s} {v:.3}"),
+                None => format!("{s} n/a"),
+            })
             .collect::<Vec<_>>()
             .join(", ");
         eprintln!(
-            "fleet smoke: {} VM lifecycles ({} churn events) in {:.0} ms; end FMFI {}",
+            "fleet smoke: {} VM lifecycles ({} churn events) in {:.0} ms; mean host FMFI {}",
             fleet.vms, fleet.churn_events, fleet.wall_ms, fmfi
         );
     }

@@ -60,6 +60,28 @@ pub struct HostRun {
     pub samples: Vec<SamplePoint>,
 }
 
+impl HostRun {
+    /// Time-weighted mean of the sampled host FMFI: each sample holds
+    /// until the next one, over the span from the first sample to the
+    /// last. Unlike the FMFI of the drained host — a fresh host's, by
+    /// construction — it measures the fragmentation resident VMs
+    /// lived with. A lone sample is its own mean; `None` when the host
+    /// sampled nothing.
+    pub fn mean_host_fmfi(&self) -> Option<f64> {
+        let (first, last) = (self.samples.first()?, self.samples.last()?);
+        let span = last.cycle - first.cycle;
+        if span == 0 {
+            return Some(first.host_fmfi);
+        }
+        let area: f64 = self
+            .samples
+            .windows(2)
+            .map(|w| w[0].host_fmfi * (w[1].cycle - w[0].cycle) as f64)
+            .sum();
+        Some(area / span as f64)
+    }
+}
+
 /// Results of the whole fleet grid, host-major within each system.
 #[derive(Debug)]
 pub struct FleetResults {
@@ -168,13 +190,16 @@ impl FleetResults {
         self.runs.iter().map(|r| r.outcome.churn_events).sum()
     }
 
-    /// Mean end-state host FMFI across one system's hosts.
-    pub fn end_fmfi(&self, system: &str) -> f64 {
-        let hosts: Vec<&HostRun> = self.runs.iter().filter(|r| r.system == system).collect();
-        if hosts.is_empty() {
-            return 0.0;
-        }
-        hosts.iter().map(|r| r.outcome.end_host_fmfi).sum::<f64>() / hosts.len() as f64
+    /// Mean over one system's hosts of [`HostRun::mean_host_fmfi`];
+    /// `None` when no host of the system sampled a point.
+    pub fn mean_fmfi(&self, system: &str) -> Option<f64> {
+        let means: Vec<f64> = self
+            .runs
+            .iter()
+            .filter(|r| r.system == system)
+            .filter_map(HostRun::mean_host_fmfi)
+            .collect();
+        (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
     }
 
     /// Renders the per-host fleet table plus a per-system summary of
@@ -183,7 +208,14 @@ impl FleetResults {
         let mut t = Table::new(
             "Fleet: VM lifecycle churn per host",
             &[
-                "system", "host", "VMs", "churn", "peak res", "end FMFI", "aligned", "samples",
+                "system",
+                "host",
+                "VMs",
+                "churn",
+                "peak res",
+                "mean FMFI",
+                "aligned",
+                "samples",
             ],
         );
         for r in &self.runs {
@@ -193,7 +225,8 @@ impl FleetResults {
                 r.outcome.vms.len().to_string(),
                 r.outcome.churn_events.to_string(),
                 r.outcome.peak_resident.to_string(),
-                format!("{:.3}", r.outcome.end_host_fmfi),
+                r.mean_host_fmfi()
+                    .map_or("n/a".to_string(), |f| format!("{f:.3}")),
                 format!("{:.3}", r.outcome.mean_aligned_rate()),
                 r.samples.len().to_string(),
             ]);
@@ -264,5 +297,47 @@ mod tests {
         assert!(rendered.contains("GEMINI") || rendered.contains("Gemini"));
         // The sampler produced a real long-horizon series.
         assert!(res.runs.iter().any(|r| r.samples.len() > 4));
+    }
+
+    #[test]
+    fn mean_host_fmfi_measures_the_resident_horizon() {
+        // The drained host's FMFI is 0 (an order-9 block exists again);
+        // the series the resident VMs lived through is neither free of
+        // fragmentation nor fully fragmented.
+        let host = run_host(SystemKind::Thp, &Scale::quick(), 0).unwrap();
+        assert!(host.samples.len() > 4);
+        let fmfi = host.mean_host_fmfi().expect("sampled host");
+        assert!(fmfi > 0.0 && fmfi < 1.0, "mean host FMFI {fmfi}");
+    }
+
+    #[test]
+    fn mean_host_fmfi_weights_samples_by_time_held() {
+        let point = |cycle, host_fmfi| SamplePoint {
+            cycle,
+            host_fmfi,
+            guest_fmfi: 0.0,
+            aligned_rate: 0.0,
+            tlb_miss_rate: 0.0,
+            free_order9: 0,
+        };
+        let mut host = HostRun {
+            system: "THP",
+            host: 0,
+            planned_vms: 0,
+            outcome: FleetOutcome {
+                vms: Vec::new(),
+                churn_events: 0,
+                peak_resident: 0,
+                end_free_order9: 0,
+            },
+            // 0.2 held for 30 cycles, 0.8 for 10; the last sample ends
+            // the span.
+            samples: vec![point(100, 0.2), point(130, 0.8), point(140, 0.5)],
+        };
+        assert!((host.mean_host_fmfi().unwrap() - 0.35).abs() < 1e-12);
+        host.samples.truncate(1);
+        assert_eq!(host.mean_host_fmfi(), Some(0.2));
+        host.samples.clear();
+        assert_eq!(host.mean_host_fmfi(), None);
     }
 }

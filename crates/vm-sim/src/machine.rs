@@ -826,7 +826,6 @@ impl Machine {
             vms,
             churn_events,
             peak_resident,
-            end_host_fmfi: self.host.fragmentation_index(),
             end_free_order9: self.host.buddy.free_blocks_of_order(HUGE_PAGE_ORDER) as u64,
         })
     }
@@ -854,8 +853,9 @@ impl Machine {
     /// The teardown unwinds every layer the VM touched: guest VMAs go
     /// through the same `munmap` path a workload exit takes (so guest
     /// policy bookkeeping stays consistent), the EPT is torn down with
-    /// every host frame returned to the machine allocator through one
-    /// free-run-index bulk update, the VM's TLB slab and host `TouchMap`
+    /// every host frame returned to the machine allocator through the
+    /// live free-run index, in time proportional to the VM's footprint,
+    /// the VM's TLB slab and host `TouchMap`
     /// slot are dropped, and — under Gemini — its per-VM scan is retired
     /// from the shared runtime state. Callers that cache a daemon wakeup
     /// deadline (the fleet driver) must recompute it after membership
@@ -864,7 +864,9 @@ impl Machine {
     /// Every teardown runs an explicit leak check: the frames the EPT
     /// held must exactly match what the allocator got back, and the
     /// buddy's full invariants (free-frame accounting, block layout,
-    /// index == rescan) must hold afterwards.
+    /// run index == the runs the blocks form) must hold afterwards. That
+    /// check is one O(host frames) pass, the only step of a teardown
+    /// not proportional to the VM.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<u64> {
         let _setup = self.prof.span(Phase::Setup);
         self.clear_workload(vm)?;

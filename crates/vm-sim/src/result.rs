@@ -77,8 +77,6 @@ pub struct FleetOutcome {
     pub churn_events: u64,
     /// Most VMs resident at once.
     pub peak_resident: usize,
-    /// Host fragmentation index when the fleet drained.
-    pub end_host_fmfi: f64,
     /// Free host blocks at huge-page order when the fleet drained.
     pub end_free_order9: u64,
 }

@@ -164,7 +164,7 @@ fn bench_report_schema_is_pinned() {
             vms: 250,
             churn_events: 500,
             wall_ms: 4000.0,
-            end_host_fmfi: vec![("THP".into(), 0.25), ("GEMINI".into(), 0.125)],
+            mean_host_fmfi: vec![("THP".into(), Some(0.25)), ("GEMINI".into(), None)],
         }),
     };
     let expected = format!(
@@ -203,7 +203,7 @@ fn bench_report_schema_is_pinned() {
     {{"jobs": 1, "wall_ms": 250, "speedup_vs_jobs1": 1, "oversubscribed": false, "cell_wall_ms": [250]}},
     {{"jobs": 2, "wall_ms": 125, "speedup_vs_jobs1": 2, "oversubscribed": true, "cell_wall_ms": [125]}}
   ],
-  "fleet": {{"vms": 250, "churn_events": 500, "wall_ms": 4000, "end_host_fmfi": [{{"system": "THP", "fmfi": 0.25}}, {{"system": "GEMINI", "fmfi": 0.125}}]}}
+  "fleet": {{"vms": 250, "churn_events": 500, "wall_ms": 4000, "mean_host_fmfi": [{{"system": "THP", "fmfi": 0.25}}, {{"system": "GEMINI", "fmfi": null}}]}}
 }}
 "#
     );
