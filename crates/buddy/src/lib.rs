@@ -50,7 +50,9 @@
 //! # Ok::<(), gemini_sim_core::SimError>(())
 //! ```
 
-use gemini_sim_core::{FreeAreaCounts, Hpa, SimError, HUGE_PAGE_ORDER, PAGES_PER_HUGE_PAGE};
+use gemini_sim_core::{
+    FreeAreaCounts, FxHashMap, Hpa, SimError, HUGE_PAGE_ORDER, PAGES_PER_HUGE_PAGE,
+};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -838,8 +840,8 @@ impl BuddyAllocator {
         let mut per_order = [0u64; (MAX_ORDER + 1) as usize];
         let mut lowest = [u64::MAX; (MAX_ORDER + 1) as usize];
         let mut counted = 0u64;
-        // Runs per length, indexed by length: a run is 1..=n frames.
-        let mut by_len = vec![0u64; n as usize + 1];
+        // Runs per length, to hold the size histogram against.
+        let mut by_len: FxHashMap<u64, u64> = FxHashMap::default();
         let mut runs = 0u64;
         // The run being accumulated: its start; it ends at `prev_end`.
         let mut open: Option<u64> = None;
@@ -848,7 +850,7 @@ impl BuddyAllocator {
             if !self.runs.is_start(start) || !self.runs.is_end(end - 1) {
                 return Err(SimError::Invariant("run index out of sync with order_of"));
             }
-            by_len[(end - start) as usize] += 1;
+            *by_len.entry(end - start).or_insert(0) += 1;
             runs += 1;
             Ok(())
         };
@@ -912,16 +914,12 @@ impl BuddyAllocator {
         if !self.runs.consistent_with(runs) {
             return Err(SimError::Invariant("run index out of sync with order_of"));
         }
-        // Every histogram entry matches the runs of its length, and the
-        // entries account for every run, so no length is missing.
-        let mut histogram_runs = 0u64;
-        for (&len, &count) in &self.runs_by_size {
-            if count == 0 || by_len.get(len as usize) != Some(&count) {
-                return Err(SimError::Invariant("size index out of sync with run map"));
-            }
-            histogram_runs += count;
-        }
-        if histogram_runs != runs {
+        if by_len.len() != self.runs_by_size.len()
+            || self
+                .runs_by_size
+                .iter()
+                .any(|(len, count)| by_len.get(len) != Some(count))
+        {
             return Err(SimError::Invariant("size index out of sync with run map"));
         }
         Ok(())
