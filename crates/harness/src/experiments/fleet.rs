@@ -301,8 +301,7 @@ mod tests {
 
     #[test]
     fn mean_host_fmfi_measures_the_resident_horizon() {
-        // The drained host's FMFI is 0 (an order-9 block exists again);
-        // the series the resident VMs lived through is neither free of
+        // The series the resident VMs lived through is neither free of
         // fragmentation nor fully fragmented.
         let host = run_host(SystemKind::Thp, &Scale::quick(), 0).unwrap();
         assert!(host.samples.len() > 4);

@@ -34,7 +34,7 @@ pub fn fragment_to(
     let want_hold = ((total as f64) * hold_fraction) as u64;
     // The whole-memory alloc/free churn is a bulk operation: suspend the
     // run index and let the allocator rebuild it once at the end, so the
-    // setup costs O(frames), not O(frames x log runs) of map traffic.
+    // setup is one O(frames) rebuild, not an index update per frame.
     let pinned = buddy.bulk_update(|buddy| {
         // Equivalent to `while let Ok(f) = buddy.alloc(0)` but one pass.
         let mut grabbed = buddy.drain_singles();

@@ -64,8 +64,9 @@ impl CaPaging {
     /// starts before the cursor); otherwise any run holding at least one
     /// whole congruent region. With no such run, targeted placement has
     /// no promotion value — defer to the default allocator. Under
-    /// fragmentation the queries reject in O(log runs) without probing,
-    /// which is what keeps per-fault re-establishment cheap.
+    /// fragmentation the queries reject off the run-length histogram
+    /// and the per-order block counts without probing a run, which is
+    /// what keeps per-fault re-establishment cheap.
     fn establish_offset(&mut self, ctx: &FaultCtx<'_>, in0: u64, len: u64) -> Option<i64> {
         let buddy = ctx.buddy;
         let cursor = self.cursor;

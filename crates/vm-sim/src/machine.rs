@@ -855,9 +855,9 @@ impl Machine {
     /// policy bookkeeping stays consistent), the EPT is torn down with
     /// every host frame returned to the machine allocator through the
     /// live free-run index, in time proportional to the VM's footprint,
-    /// the VM's TLB slab and host `TouchMap`
-    /// slot are dropped, and — under Gemini — its per-VM scan is retired
-    /// from the shared runtime state. Callers that cache a daemon wakeup
+    /// the VM's TLB slab and host `TouchMap` slot are dropped, and —
+    /// under Gemini — its per-VM scan is retired from the shared
+    /// runtime state. Callers that cache a daemon wakeup
     /// deadline (the fleet driver) must recompute it after membership
     /// changes.
     ///
