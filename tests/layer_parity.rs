@@ -5,16 +5,18 @@
 //! 1. **Golden byte-identity** — the fig. 3 (motivation) and fig. 8
 //!    (clean-slate) grids render their tables and JSON exports exactly as
 //!    they did before `GuestMm`/`HostMm` were rebuilt on `LayerEngine`,
-//!    at `jobs = 1` and `jobs = N` alike. The goldens under
-//!    `tests/golden/` were captured from the pre-refactor tree; regenerate
-//!    deliberately with `GEMINI_BLESS=1` after an *intentional* behaviour
-//!    change.
+//!    at `jobs = 1` and `jobs = N` alike. The collocation grid (figs.
+//!    17–18) and the fleet grid are pinned the same way, captured before
+//!    the machine's run loops were folded into one driver. Each golden
+//!    under `tests/golden/` was captured from the tree before the
+//!    refactor it guards; regenerate deliberately with `GEMINI_BLESS=1`
+//!    after an *intentional* behaviour change.
 //! 2. **Layer parity** — the same `HugePolicy` driven through the guest
 //!    and host instantiations of `LayerEngine` on one DetRng-generated
 //!    fault/touch trace produces identical effects, promotion counts and
 //!    fragmentation indices (the two layers are one mechanism).
 
-use gemini_harness::experiments::{clean_slate, motivation};
+use gemini_harness::experiments::{clean_slate, collocated, fleet, motivation};
 use gemini_harness::{trace, Scale};
 
 /// Worker-thread count for the `jobs = N` leg (`GEMINI_JOBS`, default 4).
@@ -60,6 +62,29 @@ fn clean_slate_artifacts(jobs: usize) -> (String, String) {
         .map(trace::result_json)
         .collect();
     (text, json.join("\n") + "\n")
+}
+
+/// Renders the collocation (figs. 17 and 18) tables plus the JSON
+/// export of both VMs of every pair × system cell, in grid order.
+fn collocated_artifacts(jobs: usize) -> (String, String) {
+    let res = collocated::run(&golden_scale(jobs), None).expect("collocated grid runs");
+    let mut text = res.render_fig17();
+    text.push_str(&res.render_fig18());
+    let json: Vec<String> = res
+        .runs
+        .iter()
+        .flatten()
+        .flatten()
+        .map(trace::result_json)
+        .collect();
+    (text, json.join("\n") + "\n")
+}
+
+/// The `Debug` form of every fleet host run, in grid order: per-VM
+/// results, churn counters and the sampled series.
+fn fleet_artifacts(jobs: usize) -> String {
+    let res = fleet::run(&golden_scale(jobs)).expect("fleet grid runs");
+    res.runs.iter().map(|r| format!("{r:?}\n")).collect()
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -223,5 +248,21 @@ fn fig8_grid_is_byte_identical_to_prerefactor_golden() {
         let (text, json) = clean_slate_artifacts(jobs);
         assert_golden("fig08_clean_slate.txt", &text);
         assert_golden("fig08_clean_slate.jsonl", &json);
+    }
+}
+
+#[test]
+fn fig17_collocated_grid_is_byte_identical_to_golden() {
+    for jobs in [1, jobs_n()] {
+        let (text, json) = collocated_artifacts(jobs);
+        assert_golden("fig17_collocated.txt", &text);
+        assert_golden("fig17_collocated.jsonl", &json);
+    }
+}
+
+#[test]
+fn fleet_grid_is_byte_identical_to_golden() {
+    for jobs in [1, jobs_n()] {
+        assert_golden("fleet_hosts.txt", &fleet_artifacts(jobs));
     }
 }
