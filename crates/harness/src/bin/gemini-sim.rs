@@ -45,10 +45,11 @@
 //! replays the same trace on the worker pool (`--jobs`), which
 //! requires `--trace FILE` (stdin cannot be re-read).
 //!
-//! `parity` runs every registry scenario twice — fast-forward on and
-//! off (`--no-ff`) — and fails unless each pair of results is
-//! byte-identical, counters included. It then replays one fleet host
-//! per lifecycle system the same way, covering create/destroy churn.
+//! `parity` runs every registry scenario three ways — the default,
+//! `--no-batch` and `--no-ff` — and fails unless the results are
+//! byte-identical, counters included. It then runs one fleet host per
+//! lifecycle system the same way, covering create/destroy churn, and
+//! one collocated VM pair under every evaluated system.
 //!
 //! `fleet` drives the long-horizon VM arrival/departure scenario: a
 //! deterministic plan first-fit packed onto simulated hosts, each host
@@ -70,6 +71,7 @@
 //! time-series sampling on, then prints the event summary, the sampled
 //! series and the metrics registry.
 
+use gemini_harness::experiments::collocated;
 use gemini_harness::report::Table;
 use gemini_harness::runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_reused, run_workload_traced,
@@ -640,7 +642,7 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
     for cell in results {
         let (label, identical) = cell?;
         println!(
-            "  {:<16} {}",
+            "  {:<24} {}",
             label,
             if identical { "ok" } else { "MISMATCH" }
         );
@@ -664,7 +666,35 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
             && format!("{batched:?}") == format!("{nobatch:?}");
         let label = format!("fleet/{}", system.label());
         println!(
-            "  {:<16} {}",
+            "  {:<24} {}",
+            label,
+            if identical { "ok" } else { "MISMATCH" }
+        );
+        if !identical {
+            mismatched.push(system.label());
+        }
+    }
+    // Collocation leg: one VM pair under every evaluated system, the
+    // two VMs taking turns by virtual clock on one host, again all
+    // three ways; both VMs' results are compared.
+    let pair = [collocated::PAIRS[0]];
+    let run = |scale: &Scale| {
+        collocated::run(scale, Some(&pair)).map_err(|e| format!("collocated pair failed: {e}"))
+    };
+    let legs = [
+        run(&batched_scale)?,
+        run(&nobatch_scale)?,
+        run(&faithful_scale)?,
+    ];
+    for (si, system) in SystemKind::evaluated().into_iter().enumerate() {
+        let debug: Vec<String> = legs
+            .iter()
+            .map(|l| format!("{:?}", l.runs[0][si]))
+            .collect();
+        let identical = debug.iter().all(|d| *d == debug[0]);
+        let label = format!("collocated/{}", system.label());
+        println!(
+            "  {:<24} {}",
             label,
             if identical { "ok" } else { "MISMATCH" }
         );
@@ -680,12 +710,13 @@ fn cmd_parity(opts: &Opts) -> Result<(), String> {
         ));
     }
     eprintln!(
-        "parity: {} scenarios on {}{} plus {} fleet hosts byte-identical across \
-         default / --no-batch / --no-ff",
+        "parity: {} scenarios on {}{} plus {} fleet hosts and one collocated pair \
+         under {} systems byte-identical across default / --no-batch / --no-ff",
         gemini_vm_sim::REGISTRY.len(),
         name,
         scenario_suffix(opts),
         gemini_harness::experiments::fleet::SYSTEMS.len(),
+        SystemKind::evaluated().len(),
     );
     Ok(())
 }

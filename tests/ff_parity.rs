@@ -168,6 +168,29 @@ fn fleet_host_matches_faithful() {
 }
 
 #[test]
+fn collocated_pair_matches_no_batch_and_faithful() {
+    // Two VMs share one host and take turns by virtual clock, one
+    // request per turn. Under every evaluated system, both VMs' results
+    // must be byte-identical whether the turns run with fast-forward
+    // and batching, with `--no-batch`, or faithfully (`--no-ff`).
+    use gemini_harness::experiments::collocated;
+    let pair = [("Redis", "SP.D")];
+    let run = |scale: &Scale| collocated::run(scale, Some(&pair)).unwrap();
+    let fast = run(&batch_scale(false));
+    for (leg, other) in [
+        ("no_batch", run(&batch_scale(true))),
+        ("faithful", run(&parity_scale(true))),
+    ] {
+        let vms = |res: &collocated::CollocatedResults| res.runs[0].concat();
+        for (f, o) in vms(&fast).iter().zip(&vms(&other)) {
+            let label = format!("collocated/{leg}/{}/{}", f.system, f.workload);
+            assert_identical(&label, f, o);
+        }
+    }
+    assert_eq!(fast.runs[0][0][0].ops, 1_200, "collocated run truncated");
+}
+
+#[test]
 fn fleet_grid_is_byte_identical_at_any_jobs() {
     // One executor cell per (system, host): worker count may only move
     // the wall clock, never the simulated fleet.
