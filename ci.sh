@@ -25,14 +25,14 @@ echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 # counts.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
-echo "== fast-forward + batching + sharding parity (GEMINI_JOBS=2) =="
+echo "== fast-forward + batching parity: single, fleet and collocated runs (GEMINI_JOBS=2) =="
 # DESIGN.md §13 and §16: every registry scenario with fast-forward on
 # vs off AND with hit-run batching on vs off, the reused-VM chain, the
-# seed × workload sweep, the intra-cell sharded runner at jobs 1/2/4,
-# the fleet lifecycle grid, and a recorded-trace replay through both
-# batch settings — all must produce byte-identical RunResults. Pinned
-# to two workers so the shard pool genuinely runs concurrent shards in
-# CI.
+# seed × workload sweep, the fleet lifecycle hosts and grid, a
+# collocated pair under every evaluated system, and a recorded-trace
+# replay through both batch settings — all must produce byte-identical
+# RunResults. Pinned to two workers so the fleet grid's executor runs
+# concurrent cells in CI.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test ff_parity
 
 echo "== VM lifecycle churn properties (GEMINI_JOBS=2) =="
@@ -69,7 +69,7 @@ echo "== end-to-end fast-path parity (gemini-sim parity, GEMINI_JOBS=2) =="
 # --no-batch and --no-ff paths back-to-back and diffs the results — a
 # user-facing smoke test on top of the ff_parity suite.
 GEMINI_JOBS=2 "$BIN" parity --workload Redis --scale quick --fragmented --jobs 2 > /dev/null
-echo "parity: default / --no-batch / --no-ff identical (registry + fleet hosts)"
+echo "parity: default / --no-batch / --no-ff identical (registry + fleet hosts + collocated pair)"
 
 echo "== fleet lifecycle smoke (demo scale, GEMINI_JOBS=2) =="
 # The long-horizon arrival/departure scenario end to end: >= 100 VM

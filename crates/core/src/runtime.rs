@@ -59,13 +59,13 @@ impl GeminiRuntime {
 
     /// Attaches an observability recorder; Algorithm 1's timeout
     /// decisions are traced through it.
-    pub fn set_recorder(&mut self, rec: Recorder) {
+    pub fn attach_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
     }
 
     /// Attaches a span profiler; MHPS scan passes record
     /// contiguity-scan spans through it.
-    pub fn set_profiler(&mut self, prof: Profiler) {
+    pub fn attach_profiler(&mut self, prof: Profiler) {
         self.prof = prof;
     }
 

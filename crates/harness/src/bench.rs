@@ -20,7 +20,7 @@ use crate::exec::{effective_jobs, run_cells_hinted, run_cells_profiled};
 use crate::experiments::motivation::WORKLOADS;
 use crate::runner::{
     run_workload_batch_stats, run_workload_on, run_workload_profiled,
-    run_workload_profiled_batch_stats, run_workload_sharded,
+    run_workload_profiled_batch_stats,
 };
 use crate::scale::Scale;
 use gemini_obs::profile::{chrome_trace_json_with_counters, ProfileReport, TraceSpan};
@@ -173,12 +173,6 @@ pub struct BenchReport {
     /// Throughput of the demo-scale reference cell, ops per second
     /// (unprofiled run).
     pub reference_ops_per_sec: f64,
-    /// Wall time of the reference cell through the intra-cell sharded
-    /// runner at `sharded_jobs` workers, milliseconds (byte-identical
-    /// simulated output; setup and workload generation overlap).
-    pub reference_sharded_wall_ms: f64,
-    /// Worker count the sharded reference leg used.
-    pub sharded_jobs: usize,
     /// Wall time of the reference cell on a **same-host rebuild of the
     /// previous PR's tree**, milliseconds, measured interleaved with the
     /// current binary in the same time window (`--pr6-wall-ms`). `None`
@@ -297,46 +291,6 @@ pub fn run_reference_cell_batched() -> Result<BatchedRefSection> {
     })
 }
 
-/// Runs the demo-scale reference cell through the intra-cell sharded
-/// runner (machine construction ∥ workload pre-generation on `jobs`
-/// workers) and returns its timing. Simulated output is byte-identical
-/// to [`run_reference_cell`]; only the wall clock moves.
-pub fn run_reference_cell_sharded(jobs: usize) -> Result<CellTiming> {
-    let scale = Scale {
-        jobs,
-        ..Scale::demo()
-    };
-    let spec = spec_by_name("Canneal").expect("Canneal is in the catalog");
-    let seed = scale.seed_for("motivation", 0);
-    let mut best: Option<(gemini_vm_sim::RunResult, f64)> = None;
-    for _ in 0..3 {
-        let (r, wall_ms) = timed(|| {
-            run_workload_sharded(
-                SystemKind::Gemini,
-                &spec,
-                &scale,
-                true,
-                seed,
-                &Recorder::off(),
-                &Profiler::off(),
-            )
-        });
-        let r = r?;
-        if best.as_ref().map_or(true, |(_, b)| wall_ms < *b) {
-            best = Some((r, wall_ms));
-        }
-    }
-    let (r, wall_ms) = best.expect("three runs produce a best");
-    Ok(CellTiming {
-        label: format!("{REFERENCE_CELL} [sharded, jobs={jobs}]"),
-        wall_ms,
-        ops: r.ops,
-        ops_per_sec: r.ops as f64 / (wall_ms / 1e3),
-        phases: Vec::new(),
-        profiler_overhead_ms: 0.0,
-    })
-}
-
 /// Runs the reference cell's workload/system pair (Canneal × GEMINI,
 /// fragmented) at `scale` with span profiling on and returns
 /// `(phase rows, profiled wall ms, overhead % of wall)`.
@@ -366,10 +320,6 @@ pub fn profile_reference_cell() -> Result<(Vec<PhaseTiming>, f64, f64)> {
 /// sweep. `scale_name` is recorded verbatim in the report.
 pub fn run_bench(scale: &Scale, scale_name: &str, jobs_max: usize) -> Result<BenchReport> {
     let reference = run_reference_cell()?;
-    // The sharded leg overlaps setup with pre-generation; two workers
-    // cover both shards (more would idle).
-    let sharded_jobs = 2usize.min(jobs_max.max(1));
-    let reference_sharded = run_reference_cell_sharded(sharded_jobs)?;
     let reference_batched = run_reference_cell_batched()?;
     let (reference_phases, reference_profiled_wall_ms, reference_overhead_pct) =
         profile_reference_cell()?;
@@ -463,8 +413,6 @@ pub fn run_bench(scale: &Scale, scale_name: &str, jobs_max: usize) -> Result<Ben
         available_parallelism: effective_jobs(0),
         reference_wall_ms: reference.wall_ms,
         reference_ops_per_sec: reference.ops_per_sec,
-        reference_sharded_wall_ms: reference_sharded.wall_ms,
-        sharded_jobs,
         pr6_same_host_wall_ms: None,
         pr9_same_host_wall_ms: None,
         reference_batched,
@@ -600,11 +548,6 @@ impl BenchReport {
             "    \"speedup_vs_baseline\": {},\n",
             json_f64(self.speedup_vs_baseline())
         ));
-        out.push_str(&format!(
-            "    \"sharded_wall_ms\": {},\n",
-            json_f64(self.reference_sharded_wall_ms)
-        ));
-        out.push_str(&format!("    \"sharded_jobs\": {},\n", self.sharded_jobs));
         match self.pr6_same_host_wall_ms {
             Some(pr6_ms) => {
                 out.push_str(&format!(
@@ -749,8 +692,6 @@ mod tests {
             available_parallelism: 4,
             reference_wall_ms: 500.0,
             reference_ops_per_sec: 16_000.0,
-            reference_sharded_wall_ms: 470.0,
-            sharded_jobs: 2,
             pr6_same_host_wall_ms: Some(1_000.0),
             pr9_same_host_wall_ms: Some(600.0),
             reference_batched: BatchedRefSection {
@@ -814,8 +755,6 @@ mod tests {
             "\"current_wall_ms\"",
             "\"current_ops_per_sec\"",
             "\"speedup_vs_baseline\"",
-            "\"sharded_wall_ms\"",
-            "\"sharded_jobs\"",
             "\"pr6_same_host_wall_ms\"",
             "\"speedup_vs_pr6_same_host\"",
             "\"pr9_same_host_wall_ms\"",

@@ -828,10 +828,6 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
         report.speedup_vs_baseline(),
         gemini_harness::bench::BASELINE_OPS_PER_SEC,
     );
-    eprintln!(
-        "reference cell sharded (jobs={}): {:.0} ms (setup ∥ workload pre-generation; simulated output byte-identical)",
-        report.sharded_jobs, report.reference_sharded_wall_ms,
-    );
     if let Some(pr6_ms) = report.pr6_same_host_wall_ms {
         eprintln!(
             "reference cell vs same-host PR 6 rebuild: {:.0} ms -> {:.0} ms ({:.2}x)",

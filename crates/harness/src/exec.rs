@@ -200,48 +200,6 @@ where
         .collect()
 }
 
-/// Runs the *shards* of one cell across `jobs` workers (0 = auto) and
-/// returns their results in submission order.
-///
-/// Where [`run_cells_profiled`] spreads many independent cells over a
-/// pool, this spreads the independent *phases of a single cell* —
-/// machine construction on one worker, workload pre-generation on
-/// another (intra-cell sharding, DESIGN.md §13). Shards dispatch FIFO
-/// (no cost hints: a cell has few shards and their order is the
-/// submission order), each shard records spans onto its worker's
-/// profiler fork, forks merge back in worker-index order, and progress
-/// flows through `rec` as `exec.shards_submitted` /
-/// `exec.shards_finished` — deterministic counts, so a sharded run
-/// exports the same registry at any jobs setting.
-///
-/// The shards must be *independent*: nothing a shard computes may feed
-/// another shard in the same batch. The runner guarantees this by
-/// construction — workload generation is a pure function of
-/// `(spec, ops, seed)` and never observes the machine being built.
-pub fn run_shards<T, F>(jobs: usize, rec: &Recorder, prof: &Profiler, shards: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce(&Profiler) -> T + Send,
-{
-    rec.counter_add("exec.shards_submitted", shards.len() as u64);
-    let shard_rec = rec.clone();
-    let shards: Vec<(u64, _)> = shards
-        .into_iter()
-        .map(|shard| {
-            let shard_rec = &shard_rec;
-            (0u64, move |wprof: &Profiler| {
-                let result = shard(wprof);
-                shard_rec.counter_add("exec.shards_finished", 1);
-                result
-            })
-        })
-        .collect();
-    // The pool itself is `run_cells_profiled`'s: same queue, same slot
-    // reassembly, same fork/merge discipline. The off recorder keeps
-    // cell-level counters out of it — shards are not cells.
-    run_cells_profiled(jobs, &Recorder::off(), prof, shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,35 +292,6 @@ mod tests {
                 let exec = report.phases.iter().find(|(p, _)| *p == Phase::Executor);
                 assert!(exec.is_some(), "executor bookkeeping attributed");
             }
-        }
-    }
-
-    #[test]
-    fn shards_come_back_in_submission_order_with_progress_counters() {
-        for jobs in [1, 2, 4] {
-            let rec = Recorder::new(&gemini_obs::TraceConfig::all());
-            let prof = Profiler::deterministic(false);
-            let shards: Vec<_> = (0..5u64)
-                .map(|i| {
-                    move |wprof: &Profiler| {
-                        let _span = wprof.span(Phase::Setup);
-                        i + 100
-                    }
-                })
-                .collect();
-            let out = run_shards(jobs, &rec, &prof, shards);
-            assert_eq!(out, vec![100, 101, 102, 103, 104], "jobs={jobs}");
-            assert_eq!(rec.registry().counter("exec.shards_submitted"), 5);
-            assert_eq!(rec.registry().counter("exec.shards_finished"), 5);
-            // Shards are not cells: the cell counters must stay silent.
-            assert_eq!(rec.registry().counter("exec.cells_submitted"), 0);
-            let report = prof.report();
-            let setup = report
-                .phases
-                .iter()
-                .find(|(p, _)| *p == Phase::Setup)
-                .expect("shard spans merged back");
-            assert_eq!(setup.1.count, 5, "jobs={jobs}");
         }
     }
 

@@ -26,11 +26,11 @@ pub mod runner;
 pub mod scale;
 pub mod trace;
 
-pub use exec::{effective_jobs, run_cells, run_cells_profiled, run_cells_traced, run_shards};
+pub use exec::{effective_jobs, run_cells, run_cells_profiled, run_cells_traced};
 pub use perfdiff::{compare_reports, DiffReport};
 pub use report::Table;
 pub use runner::{
     record_workload_on, replay_trace_on, run_workload_on, run_workload_profiled,
-    run_workload_sharded, run_workload_traced,
+    run_workload_traced,
 };
 pub use scale::Scale;

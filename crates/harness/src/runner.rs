@@ -1,12 +1,11 @@
 //! Shared run helpers used by every experiment.
 
-use crate::exec::run_shards;
 use crate::scale::Scale;
-use gemini_obs::{Phase, Profiler, Recorder, TraceConfig};
-use gemini_sim_core::{derive_seed, Result, SimError, VmId};
+use gemini_obs::{Profiler, Recorder, TraceConfig};
+use gemini_sim_core::{derive_seed, Result, SimError};
 use gemini_vm_sim::{Machine, RunResult, SystemKind};
 use gemini_workloads::{
-    PregenStream, TeeStream, TraceHeader, TraceStream, TraceWriter, WorkloadGen, WorkloadSpec,
+    TeeStream, TraceHeader, TraceStream, TraceWriter, WorkloadGen, WorkloadSpec,
 };
 use std::io::{BufRead, Write};
 
@@ -109,73 +108,6 @@ pub fn run_workload_profiled_batch_stats(
     let result = machine.run(vm, gen)?;
     let stats = machine.batch_stats();
     Ok((result, stats))
-}
-
-/// One unit of intra-cell work (see [`run_workload_sharded`]).
-enum Shard {
-    /// The constructed machine and its VM (or the construction error).
-    Machine(Result<(Box<Machine>, VmId)>),
-    /// The pre-generated workload event stream.
-    Events(PregenStream),
-}
-
-/// Like [`run_workload_profiled`], but *intra-cell sharded*: machine
-/// construction (buddy seeding, fragmentation pre-conditioning, page
-/// tables) and workload generation (the full event stream) run as
-/// independent shards on [`run_shards`]'s worker pool, then the
-/// coordinating thread replays the pre-generated stream through the
-/// machine.
-///
-/// The result is byte-identical to [`run_workload_on`] at every jobs
-/// setting: generation is a pure function of `(spec, ops, seed)` and
-/// never observes machine state, so pre-generating the stream cannot
-/// change the trajectory, and the simulated run itself stays
-/// single-threaded. Sharding only moves *wall-clock* work — setup and
-/// generation overlap instead of serializing, which is the lever that
-/// lets one big cell (where cell-level parallelism has nothing to
-/// schedule) bend under `--jobs`. Shard progress lands on `rec` as
-/// `exec.shards_submitted` / `exec.shards_finished`.
-pub fn run_workload_sharded(
-    system: SystemKind,
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    fragmented: bool,
-    seed: u64,
-    rec: &Recorder,
-    prof: &Profiler,
-) -> Result<RunResult> {
-    let cfg = scale.machine_config(fragmented, spec.zero_heavy, seed);
-    let scaled = spec.scaled(scale.ws_factor);
-    let ops = scale.ops;
-    type ShardFn<'a> = Box<dyn FnOnce(&Profiler) -> Shard + Send + 'a>;
-    let shards: Vec<ShardFn> = vec![
-        Box::new(move |wprof: &Profiler| {
-            // The machine is built under the worker's profiler fork so
-            // Setup spans land on the worker's track; the run phase
-            // below re-points it at the coordinator's profiler.
-            let mut cfg = cfg;
-            cfg.profiler = wprof.clone();
-            let mut machine = Box::new(Machine::new(system, cfg));
-            let vm = machine.add_vm();
-            Shard::Machine(vm.map(|vm| (machine, vm)))
-        }),
-        Box::new(move |wprof: &Profiler| {
-            let _gen_span = wprof.span(Phase::WorkloadGen);
-            Shard::Events(WorkloadGen::new(scaled, ops, seed).pregenerate())
-        }),
-    ];
-    let mut out = run_shards(scale.jobs, rec, prof, shards);
-    let Some(Shard::Events(events)) = out.pop() else {
-        unreachable!("shard results come back in submission order");
-    };
-    let Some(Shard::Machine(machine)) = out.pop() else {
-        unreachable!("shard results come back in submission order");
-    };
-    let (mut machine, vm) = machine?;
-    // The worker forks were merged and retired inside `run_shards`;
-    // run-phase spans must record onto the live profiler.
-    machine.set_profiler(prof.clone());
-    machine.run(vm, events)
 }
 
 /// Like [`run_workload_on`], but *recording*: every event the live

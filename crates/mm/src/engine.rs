@@ -144,14 +144,14 @@ impl<L: Layer> LayerEngine<L> {
 
     /// Attaches an observability recorder; daemon promotions and
     /// demotions at this layer are traced through it.
-    pub fn set_recorder(&mut self, rec: Recorder) {
+    pub fn attach_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
     }
 
     /// Attaches a wall-clock span profiler; daemon decision scans and
     /// promotion/demotion execution at this layer record phase spans
     /// through it.
-    pub fn set_profiler(&mut self, prof: Profiler) {
+    pub fn attach_profiler(&mut self, prof: Profiler) {
         self.prof = prof;
     }
 

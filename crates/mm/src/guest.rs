@@ -64,14 +64,14 @@ impl GuestMm {
 
     /// Attaches an observability recorder; daemon promotions and
     /// demotions of this guest are traced through it.
-    pub fn set_recorder(&mut self, rec: gemini_obs::Recorder) {
-        self.engine.set_recorder(rec);
+    pub fn attach_recorder(&mut self, rec: gemini_obs::Recorder) {
+        self.engine.attach_recorder(rec);
     }
 
     /// Attaches a span profiler; this guest's daemon scans and
     /// promotion/demotion execution record phase spans through it.
-    pub fn set_profiler(&mut self, prof: gemini_obs::Profiler) {
-        self.engine.set_profiler(prof);
+    pub fn attach_profiler(&mut self, prof: gemini_obs::Profiler) {
+        self.engine.attach_profiler(prof);
     }
 
     /// The process page table (GVA frame → GPA frame).

@@ -256,7 +256,7 @@ mod tests {
         // its first probe, so one establish costs one probed run.
         let mut g = GuestMm::new(VmId(1), 8192, CostModel::default());
         let rec = Recorder::new(&TraceConfig::all());
-        g.set_recorder(rec.clone());
+        g.attach_recorder(rec.clone());
         let mut ca = CaPaging::new();
         let vma = g.mmap(HUGE_PAGE_SIZE).unwrap();
         g.handle_fault(vma.start_frame(), &mut ca).unwrap();
@@ -288,7 +288,7 @@ mod tests {
         let runs = buddy.free_runs().len() as u64;
         assert!(runs > 10, "fragmentation must leave many runs ({runs})");
         let rec = Recorder::new(&TraceConfig::all());
-        g.set_recorder(rec.clone());
+        g.attach_recorder(rec.clone());
         let mut ca = CaPaging::new();
         let vma = g.mmap(2 * HUGE_PAGE_SIZE).unwrap();
         for i in 0..64 {

@@ -10,7 +10,7 @@ use gemini_sim_core::stats::LatencySamples;
 use gemini_sim_core::{Cycles, DetRng, FxHashMap, Result, SimError, VmId, HUGE_PAGE_ORDER};
 use gemini_tlb::{BatchStats, MmuConfig, MmuSim, PerfCounters, ResolvedTranslation};
 use gemini_workloads::{touch_run_len, EventStream, WorkloadEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of the simulated machine.
 #[derive(Debug, Clone)]
@@ -131,7 +131,9 @@ struct VmState {
 /// One planned VM waiting in a fleet host's admission queue
 /// ([`Machine::run_fleet`]).
 pub struct FleetArrival<S> {
-    /// Fleet-wide arrival ordinal (carried into the outcome record).
+    /// Fleet-wide arrival ordinal, unique on a host: it breaks
+    /// virtual-clock ties between residents and is carried into the
+    /// outcome record.
     pub index: u32,
     /// Planned host-frame footprint charged against the residency cap.
     pub footprint_frames: u64,
@@ -147,6 +149,51 @@ struct RunCtx {
     counters_at_start: PerfCounters,
     clock_at_start: Cycles,
     ops: u64,
+}
+
+/// How far one turn of [`Machine::drive`] advances a VM.
+#[derive(Clone, Copy)]
+enum Step {
+    /// [`STEP_EVENTS`] events: a single run's daemon cadence, which the
+    /// fig. 3 and fig. 8 goldens pin.
+    Events,
+    /// Through the next `EndRequest`: collocated and fleet VMs take
+    /// turns one request at a time.
+    Request,
+}
+
+/// Events per [`Step::Events`] step.
+const STEP_EVENTS: usize = 64;
+
+/// Events pulled from a stream per `WorkloadGen` span. Generation never
+/// reads machine state, so pulling ahead of the steps is invisible.
+const PULL: usize = STEP_EVENTS * 16;
+
+/// One VM on [`Machine::drive`]'s resident set.
+struct Resident<S> {
+    vm: VmId,
+    /// Arrival ordinal, unique per drive: it breaks clock ties.
+    index: u32,
+    gen: S,
+    /// Events pulled from `gen`; `buf[pos..]` have not run yet.
+    buf: Vec<WorkloadEvent>,
+    pos: usize,
+    /// `gen` has ended: `buf` holds the last of its events.
+    drained: bool,
+    ctx: RunCtx,
+    /// Cached [`Machine::next_daemon_wakeup`].
+    wakeup: Cycles,
+    /// Host frames charged against a fleet's residency cap.
+    footprint: u64,
+}
+
+/// A fleet host's admission queue and the outcome it accumulates
+/// ([`Machine::run_fleet`]).
+struct Admission<S> {
+    queue: VecDeque<FleetArrival<S>>,
+    cap: u64,
+    resident_frames: u64,
+    outcome: FleetOutcome,
 }
 
 /// The simulated machine: one host, one or more VMs, one system under
@@ -210,11 +257,11 @@ impl Machine {
         let recorder = Recorder::new(&cfg.trace);
         host_policy.attach_recorder(recorder.clone());
         host_policy.attach_profiler(prof.clone());
-        host.set_recorder(recorder.clone());
-        host.set_profiler(prof.clone());
+        host.attach_recorder(recorder.clone());
+        host.attach_profiler(prof.clone());
         if let Some(rt) = &mut runtime {
-            rt.set_recorder(recorder.clone());
-            rt.set_profiler(prof.clone());
+            rt.attach_recorder(recorder.clone());
+            rt.attach_profiler(prof.clone());
         }
         Self {
             scenario,
@@ -259,25 +306,6 @@ impl Machine {
         &self.prof
     }
 
-    /// Re-points the machine (and every component it already built) at
-    /// `prof`. The sharded runner builds a machine on a worker thread
-    /// under a forked profiler, then hands it back to the coordinating
-    /// thread; the fork is merged and retired at the shard boundary, so
-    /// the run phase must record onto the coordinator's profiler — a
-    /// span on the retired fork would be silently dropped.
-    pub fn set_profiler(&mut self, prof: Profiler) {
-        self.host_policy.attach_profiler(prof.clone());
-        self.host.set_profiler(prof.clone());
-        if let Some(rt) = &mut self.runtime {
-            rt.set_profiler(prof.clone());
-        }
-        for vs in self.vms.values_mut() {
-            vs.policy.attach_profiler(prof.clone());
-            vs.guest.set_profiler(prof.clone());
-        }
-        self.prof = prof;
-    }
-
     /// Adds a VM and returns its id.
     ///
     /// Fails when the configured MMU geometry is invalid
@@ -311,8 +339,8 @@ impl Machine {
         };
         policy.attach_recorder(self.recorder.clone());
         policy.attach_profiler(self.prof.clone());
-        guest.set_recorder(self.recorder.clone());
-        guest.set_profiler(self.prof.clone());
+        guest.attach_recorder(self.recorder.clone());
+        guest.attach_profiler(self.prof.clone());
         let mut mmu = MmuSim::new(self.cfg.mmu.clone())?;
         mmu.set_recorder(self.recorder.clone(), vm.0);
         self.vms.insert(
@@ -381,98 +409,258 @@ impl Machine {
     /// [`gemini_workloads::WorkloadGen`] or a pre-generated
     /// [`gemini_workloads::PregenStream`]; generation is
     /// machine-state-independent, so both drive identical trajectories.
-    pub fn run<S: EventStream>(&mut self, vm: VmId, mut gen: S) -> Result<RunResult> {
-        let mut ctx = RunCtx {
-            latencies: LatencySamples::new(),
-            req_acc: Cycles::ZERO,
-            track_latency: gen.spec().latency_tracked,
-            counters_at_start: self.counters(vm),
-            clock_at_start: self.vm_clock(vm),
-            ops: 0,
+    /// The VM runs in 64-event steps; after each one, the last included,
+    /// a daemon pass runs if background work is due.
+    pub fn run<S: EventStream>(&mut self, vm: VmId, gen: S) -> Result<RunResult> {
+        let resident = self.resident_for(vm, 0, gen, 0);
+        let mut ended = self.drive(vec![resident], Step::Events, None)?;
+        let r = ended.pop().expect("the lone resident ends the drive");
+        let workload = r.gen.spec().name.to_string();
+        self.finish(vm, workload, r.ctx)
+    }
+
+    /// Runs several workloads concurrently, one per VM, interleaved by
+    /// virtual time one request at a time (the collocation experiments,
+    /// Figures 17–18). Every VM is finished once the last stream ends,
+    /// and the results come back in the order of `runs`.
+    pub fn run_collocated<S: EventStream>(
+        &mut self,
+        runs: Vec<(VmId, S)>,
+    ) -> Result<Vec<RunResult>> {
+        let resident = runs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (vm, gen))| self.resident_for(vm, i as u32, gen, 0))
+            .collect();
+        let mut ended = self.drive(resident, Step::Request, None)?;
+        ended.sort_by_key(|r| r.index);
+        ended
+            .into_iter()
+            .map(|r| {
+                let workload = r.gen.spec().name.to_string();
+                self.finish(r.vm, workload, r.ctx)
+            })
+            .collect()
+    }
+
+    /// Drives this host through a whole fleet arrival/departure process.
+    ///
+    /// `arrivals` is the host's planned admission queue, in arrival
+    /// order, with unique indices. The head of the queue is admitted
+    /// whenever its planned footprint fits under `resident_cap_frames`
+    /// alongside the VMs already resident (head-of-line blocking keeps
+    /// admission a pure function of the queue, independent of map
+    /// iteration order); a VM that does not even fit an empty host is
+    /// admitted alone. Admitted VMs start at the clock of the VM whose
+    /// departure made room for them and take turns with the residents
+    /// one request at a time, like [`Self::run_collocated`]. When a
+    /// VM's event stream ends it is finished and destroyed through
+    /// [`Self::remove_vm`] — leak check included — and its capacity is
+    /// handed to the queue.
+    pub fn run_fleet<S: EventStream>(
+        &mut self,
+        arrivals: Vec<FleetArrival<S>>,
+        resident_cap_frames: u64,
+    ) -> Result<FleetOutcome> {
+        let mut fleet = Admission {
+            queue: arrivals.into(),
+            cap: resident_cap_frames,
+            resident_frames: 0,
+            outcome: FleetOutcome {
+                vms: Vec::new(),
+                churn_events: 0,
+                peak_resident: 0,
+                end_free_order9: 0,
+            },
         };
-        let workload = gen.spec().name.to_string();
-        // Events are pulled in batches of 64 so the WorkloadGen /
-        // Access span pair amortizes over a whole batch instead of
-        // costing two clock reads per event. The generator stream is
-        // independent of machine state, so prefetching is invisible;
-        // the daemon cadence (one pass per 64 processed events, plus a
-        // final pass) is exactly the pre-batching behaviour.
-        const DAEMON_EVERY: usize = 64;
-        if self.cfg.no_ff {
-            // Faithful stepping: one batch per span pair, one daemon
-            // pass per full batch, every event through the slow path.
-            let mut batch: Vec<WorkloadEvent> = Vec::with_capacity(DAEMON_EVERY);
+        self.drive(Vec::new(), Step::Request, Some(&mut fleet))?;
+        fleet.outcome.end_free_order9 =
+            self.host.buddy.free_blocks_of_order(HUGE_PAGE_ORDER) as u64;
+        Ok(fleet.outcome)
+    }
+
+    /// The one scheduling loop behind [`Self::run`],
+    /// [`Self::run_collocated`] and [`Self::run_fleet`]: VMs start and
+    /// finish as events on one resident set ordered by virtual clock.
+    ///
+    /// The turn goes to the resident with the smallest
+    /// `(clock, index)`, which keeps stepping until another resident is
+    /// earlier — the order a fresh pick after every step would give, with
+    /// no pick at all while a lone VM runs. A step is `step`'s worth of
+    /// events through [`Self::process_chunk`] (through
+    /// [`Self::process_event`] under `no_ff`). After every step,
+    /// including the final one that the end of the stream cuts short
+    /// (even when it is empty), a daemon pass runs if `no_ff` is set or
+    /// the VM's cached wakeup is due. Skipping the other passes changes
+    /// nothing: [`Self::next_daemon_wakeup`] is the earliest deadline,
+    /// and deadlines only move forward, so a wakeup cached before
+    /// another resident's pass is early, never late.
+    ///
+    /// With `fleet`, its queue is admitted up front and after every
+    /// departure, and a VM whose stream ends is finished and removed
+    /// on the spot. Without it, ended residents are returned, still on
+    /// the machine, for the caller to finish.
+    fn drive<S: EventStream>(
+        &mut self,
+        mut resident: Vec<Resident<S>>,
+        step: Step,
+        mut fleet: Option<&mut Admission<S>>,
+    ) -> Result<Vec<Resident<S>>> {
+        let no_ff = self.cfg.no_ff;
+        let _access = self.prof.span(Phase::Access);
+        if let Some(f) = fleet.as_deref_mut() {
+            self.admit(f, &mut resident, Cycles::ZERO)?;
+        }
+        let key = |m: &Self, r: &Resident<S>| (m.vms[&r.vm].clock, r.index);
+        let mut ended = Vec::new();
+        while !resident.is_empty() {
+            let i = (0..resident.len())
+                .min_by_key(|&i| key(self, &resident[i]))
+                .expect("resident set is not empty");
+            let next = (0..resident.len())
+                .filter(|&j| j != i)
+                .map(|j| key(self, &resident[j]))
+                .min();
             loop {
-                {
-                    let _gen_span = self.prof.span(Phase::WorkloadGen);
-                    while batch.len() < DAEMON_EVERY {
-                        match gen.next_event() {
-                            Some(ev) => batch.push(ev),
-                            None => break,
+                let r = &mut resident[i];
+                if self.step(r, step, no_ff)? {
+                    let r = resident.remove(i);
+                    match fleet.as_deref_mut() {
+                        Some(f) => {
+                            let now = self.vms[&r.vm].clock;
+                            self.depart(f, r)?;
+                            self.admit(f, &mut resident, now)?;
                         }
+                        None => ended.push(r),
                     }
-                }
-                if batch.is_empty() {
                     break;
                 }
-                let full = batch.len() == DAEMON_EVERY;
-                {
-                    let _access = self.prof.span(Phase::Access);
-                    for ev in batch.drain(..) {
-                        self.process_event(vm, ev, &mut ctx)?;
-                    }
-                }
-                if full {
-                    self.run_daemons(vm)?;
-                }
-            }
-        } else {
-            // Fast-forward: a daemon pass before the earliest period
-            // deadline is a provable no-op — every piece of background
-            // work sits behind a `now >= next_*` guard, the Gemini
-            // runtime exposes its own next deadline, and the sampler's
-            // next-due cycle is `u64::MAX` when sampling is off.
-            // `next_wakeup` caches that minimum so quiescent stretches
-            // skip the pass (and its telemetry gather) entirely; the
-            // pass that eventually runs sees exactly the state the
-            // faithful schedule would have produced, at the same
-            // virtual time. Daemon-pass *eligibility* still falls on
-            // the same 64-event boundaries as the faithful loop, so a
-            // due pass runs at the identical point in the event stream;
-            // events are merely pulled (and spans opened) in larger
-            // strides to amortize the per-batch overhead.
-            const PULL: usize = DAEMON_EVERY * 16;
-            let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(PULL);
-            let mut next_wakeup = Cycles::ZERO;
-            loop {
-                {
-                    let _gen_span = self.prof.span(Phase::WorkloadGen);
-                    while buf.len() < PULL {
-                        match gen.next_event() {
-                            Some(ev) => buf.push(ev),
-                            None => break,
-                        }
-                    }
-                }
-                if buf.is_empty() {
+                if next.is_some_and(|n| key(self, r) > n) {
                     break;
                 }
-                let _access = self.prof.span(Phase::Access);
-                let mut start = 0;
-                while start < buf.len() {
-                    let end = (start + DAEMON_EVERY).min(buf.len());
-                    self.process_chunk(vm, &buf[start..end], &mut ctx)?;
-                    if end - start == DAEMON_EVERY && self.vms[&vm].clock >= next_wakeup {
-                        self.run_daemons(vm)?;
-                        next_wakeup = self.next_daemon_wakeup(vm);
-                    }
-                    start = end;
-                }
-                buf.clear();
             }
         }
-        self.run_daemons(vm)?;
-        self.finish(vm, workload, ctx)
+        Ok(ended)
+    }
+
+    /// Advances `r` by one step, then runs its daemon pass if one is due
+    /// (see [`Self::drive`]). Returns whether the step was the stream's
+    /// last.
+    fn step<S: EventStream>(
+        &mut self,
+        r: &mut Resident<S>,
+        step: Step,
+        no_ff: bool,
+    ) -> Result<bool> {
+        // Buffer a whole step, pulling a stride at a time; the stream's
+        // end cuts the final step short.
+        let (end, last) = loop {
+            let rest = &r.buf[r.pos..];
+            let whole = match step {
+                Step::Events => (rest.len() >= STEP_EVENTS).then_some(STEP_EVENTS),
+                Step::Request => rest
+                    .iter()
+                    .position(|ev| matches!(ev, WorkloadEvent::EndRequest { .. }))
+                    .map(|k| k + 1),
+            };
+            if let Some(n) = whole {
+                break (r.pos + n, false);
+            }
+            if r.drained {
+                break (r.buf.len(), true);
+            }
+            r.buf.drain(..r.pos);
+            r.pos = 0;
+            let _gen = self.prof.span(Phase::WorkloadGen);
+            for _ in 0..PULL {
+                let Some(ev) = r.gen.next_event() else {
+                    r.drained = true;
+                    break;
+                };
+                r.buf.push(ev);
+            }
+        };
+        let events = &r.buf[r.pos..end];
+        if no_ff {
+            for &ev in events {
+                self.process_event(r.vm, ev, &mut r.ctx)?;
+            }
+        } else {
+            self.process_chunk(r.vm, events, &mut r.ctx)?;
+        }
+        r.pos = end;
+        if no_ff || self.vms[&r.vm].clock >= r.wakeup {
+            self.run_daemons(r.vm)?;
+            r.wakeup = self.next_daemon_wakeup(r.vm);
+        }
+        Ok(last)
+    }
+
+    /// A resident for `vm` whose run is measured from the VM's current
+    /// clock and counters. Its cached wakeup starts due.
+    fn resident_for<S: EventStream>(
+        &self,
+        vm: VmId,
+        index: u32,
+        gen: S,
+        footprint: u64,
+    ) -> Resident<S> {
+        Resident {
+            vm,
+            index,
+            ctx: RunCtx {
+                latencies: LatencySamples::new(),
+                req_acc: Cycles::ZERO,
+                track_latency: gen.spec().latency_tracked,
+                counters_at_start: self.counters(vm),
+                clock_at_start: self.vm_clock(vm),
+                ops: 0,
+            },
+            gen,
+            buf: Vec::with_capacity(PULL),
+            pos: 0,
+            drained: false,
+            wakeup: Cycles::ZERO,
+            footprint,
+        }
+    }
+
+    /// Admits the head of `fleet`'s queue onto a fresh VM at clock `now`
+    /// while it fits the residency cap (or the host is empty).
+    fn admit<S: EventStream>(
+        &mut self,
+        fleet: &mut Admission<S>,
+        resident: &mut Vec<Resident<S>>,
+        now: Cycles,
+    ) -> Result<()> {
+        while let Some(head) = fleet.queue.front() {
+            if !resident.is_empty() && fleet.resident_frames + head.footprint_frames > fleet.cap {
+                break;
+            }
+            let a = fleet.queue.pop_front().expect("front was Some");
+            let vm = self.add_vm()?;
+            self.vms.get_mut(&vm).expect("just added").clock = now;
+            fleet.resident_frames += a.footprint_frames;
+            fleet.outcome.churn_events += 1;
+            resident.push(self.resident_for(vm, a.index, a.gen, a.footprint_frames));
+            fleet.outcome.peak_resident = fleet.outcome.peak_resident.max(resident.len());
+        }
+        Ok(())
+    }
+
+    /// Finishes an ended fleet VM, destroys it and logs its lifecycle.
+    fn depart<S: EventStream>(&mut self, fleet: &mut Admission<S>, r: Resident<S>) -> Result<()> {
+        let workload = r.gen.spec().name.to_string();
+        let result = self.finish(r.vm, workload, r.ctx)?;
+        let frames_reclaimed = self.remove_vm(r.vm)?;
+        fleet.resident_frames -= r.footprint;
+        fleet.outcome.churn_events += 1;
+        fleet.outcome.vms.push(FleetVmRecord {
+            index: r.index,
+            result,
+            frames_reclaimed,
+        });
+        Ok(())
     }
 
     /// The earliest future cycle at which [`Self::run_daemons`] has due
@@ -495,8 +683,8 @@ impl Machine {
         d.min(self.recorder.next_sample_at())
     }
 
-    /// Steps one 64-event chunk, running stretches of already-resident
-    /// touches through a tight loop. The loop performs exactly the
+    /// Processes the events of one driver step, running stretches of
+    /// already-resident touches through a tight loop. The loop performs exactly the
     /// faithful per-event work — translate both layers, charge the MMU
     /// model, advance the clock and access count — but hoists the VM
     /// and EPT lookups out of the per-event path. Any event it cannot
@@ -587,8 +775,8 @@ impl Machine {
                     // without re-probing the set arrays. The lookahead
                     // is capped one past the sampled-touch deadline (the
                     // overhang only detects deadline truncation), and
-                    // the 64-event chunk boundary — where daemon
-                    // deadlines are re-checked — bounds `events`.
+                    // the step boundary — where daemon deadlines are
+                    // re-checked — bounds `events`.
                     if !no_batch && until_sample > 1 {
                         let window = &events[i..(i + until_sample as usize + 1).min(events.len())];
                         let run = if out.huge_entry {
@@ -649,187 +837,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Runs several workloads concurrently, one per VM, interleaved by
-    /// virtual time (the collocation experiments, Figures 17–18).
-    pub fn run_collocated<S: EventStream>(
-        &mut self,
-        mut runs: Vec<(VmId, S)>,
-    ) -> Result<Vec<RunResult>> {
-        let mut ctxs: Vec<RunCtx> = runs
-            .iter()
-            .map(|(vm, gen)| RunCtx {
-                latencies: LatencySamples::new(),
-                req_acc: Cycles::ZERO,
-                track_latency: gen.spec().latency_tracked,
-                counters_at_start: self.counters(*vm),
-                clock_at_start: self.vm_clock(*vm),
-                ops: 0,
-            })
-            .collect();
-        let mut finished = vec![false; runs.len()];
-        while finished.iter().any(|f| !f) {
-            // Advance the unfinished VM with the smallest clock by one op.
-            let idx = runs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !finished[*i])
-                .min_by_key(|(_, (vm, _))| self.vms[vm].clock)
-                .map(|(i, _)| i)
-                .expect("some run unfinished");
-            let (vm, gen) = &mut runs[idx];
-            let vm = *vm;
-            loop {
-                match gen.next_event() {
-                    None => {
-                        finished[idx] = true;
-                        break;
-                    }
-                    Some(ev) => {
-                        let is_end = matches!(ev, WorkloadEvent::EndRequest { .. });
-                        self.process_event(vm, ev, &mut ctxs[idx])?;
-                        if is_end {
-                            break;
-                        }
-                    }
-                }
-            }
-            self.run_daemons(vm)?;
-        }
-        let mut results = Vec::new();
-        for ((vm, gen), ctx) in runs.into_iter().zip(ctxs) {
-            let name = gen.spec().name.to_string();
-            results.push(self.finish(vm, name, ctx)?);
-        }
-        Ok(results)
-    }
-
-    /// Drives this host through a whole fleet arrival/departure process.
-    ///
-    /// `arrivals` is the host's planned admission queue, in arrival
-    /// order. The head of the queue is admitted whenever its planned
-    /// footprint fits under `resident_cap_frames` alongside the VMs
-    /// already resident (head-of-line blocking keeps admission a pure
-    /// function of the queue, independent of map iteration order); a VM
-    /// that does not even fit an empty host is admitted alone. Resident
-    /// VMs interleave by virtual time exactly like
-    /// [`Self::run_collocated`]; when a VM's event stream ends it is
-    /// finished and destroyed through [`Self::remove_vm`] — leak check
-    /// included — and its capacity is handed to the queue.
-    ///
-    /// Background daemons keep the fast-forward contract: each resident
-    /// VM caches its next daemon wakeup, the cache is recomputed after
-    /// every pass, and membership changes reset it (new VMs start due).
-    /// Under `no_ff` a pass runs after every request; both modes are
-    /// byte-identical because skipped passes are provably no-ops.
-    pub fn run_fleet<S: EventStream>(
-        &mut self,
-        arrivals: Vec<FleetArrival<S>>,
-        resident_cap_frames: u64,
-    ) -> Result<FleetOutcome> {
-        struct Live<S> {
-            index: u32,
-            vm: VmId,
-            footprint: u64,
-            gen: S,
-            ctx: RunCtx,
-            wakeup: Cycles,
-        }
-        let mut pending: std::collections::VecDeque<FleetArrival<S>> = arrivals.into();
-        let mut live: Vec<Live<S>> = Vec::new();
-        let mut resident_frames = 0u64;
-        let mut vms = Vec::new();
-        let mut churn_events = 0u64;
-        let mut peak_resident = 0usize;
-        // The fleet's notion of "now": the clock of the VM that last
-        // made progress. Newly admitted VMs start here so they
-        // interleave with the residents instead of replaying the past.
-        let mut fleet_now = Cycles::ZERO;
-        loop {
-            while let Some(head) = pending.front() {
-                if !live.is_empty() && resident_frames + head.footprint_frames > resident_cap_frames
-                {
-                    break;
-                }
-                let a = pending.pop_front().expect("front was Some");
-                let vm = self.add_vm()?;
-                let vs = self.vms.get_mut(&vm).expect("just added");
-                vs.clock = fleet_now;
-                resident_frames += a.footprint_frames;
-                churn_events += 1;
-                let ctx = RunCtx {
-                    latencies: LatencySamples::new(),
-                    req_acc: Cycles::ZERO,
-                    track_latency: a.gen.spec().latency_tracked,
-                    counters_at_start: self.counters(vm),
-                    clock_at_start: fleet_now,
-                    ops: 0,
-                };
-                live.push(Live {
-                    index: a.index,
-                    vm,
-                    footprint: a.footprint_frames,
-                    gen: a.gen,
-                    ctx,
-                    wakeup: Cycles::ZERO,
-                });
-                peak_resident = peak_resident.max(live.len());
-            }
-            if live.is_empty() {
-                break;
-            }
-            // Advance the resident VM with the smallest clock by one
-            // request (ties break on arrival order).
-            let idx = live
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| (self.vms[&l.vm].clock, l.index))
-                .map(|(i, _)| i)
-                .expect("live not empty");
-            let l = &mut live[idx];
-            let vm = l.vm;
-            let mut done = false;
-            loop {
-                match l.gen.next_event() {
-                    None => {
-                        done = true;
-                        break;
-                    }
-                    Some(ev) => {
-                        let is_end = matches!(ev, WorkloadEvent::EndRequest { .. });
-                        self.process_event(vm, ev, &mut l.ctx)?;
-                        if is_end {
-                            break;
-                        }
-                    }
-                }
-            }
-            if self.cfg.no_ff || self.vms[&vm].clock >= live[idx].wakeup {
-                self.run_daemons(vm)?;
-                live[idx].wakeup = self.next_daemon_wakeup(vm);
-            }
-            fleet_now = self.vms[&vm].clock;
-            if done {
-                let l = live.remove(idx);
-                let name = l.gen.spec().name.to_string();
-                let result = self.finish(l.vm, name, l.ctx)?;
-                let frames_reclaimed = self.remove_vm(l.vm)?;
-                resident_frames -= l.footprint;
-                churn_events += 1;
-                vms.push(FleetVmRecord {
-                    index: l.index,
-                    result,
-                    frames_reclaimed,
-                });
-            }
-        }
-        Ok(FleetOutcome {
-            vms,
-            churn_events,
-            peak_resident,
-            end_free_order9: self.host.buddy.free_blocks_of_order(HUGE_PAGE_ORDER) as u64,
-        })
-    }
-
     /// Unmaps every chunk a previous run left in `vm` (the reused-VM
     /// scenario: the workload exits, the VM and its EPT state persist).
     pub fn clear_workload(&mut self, vm: VmId) -> Result<()> {
@@ -857,9 +864,8 @@ impl Machine {
     /// live free-run index, in time proportional to the VM's footprint,
     /// the VM's TLB slab and host `TouchMap` slot are dropped, and —
     /// under Gemini — its per-VM scan is retired from the shared
-    /// runtime state. Callers that cache a daemon wakeup
-    /// deadline (the fleet driver) must recompute it after membership
-    /// changes.
+    /// runtime state. Teardown moves no daemon deadline, so a wakeup
+    /// the run driver cached for another VM stays valid.
     ///
     /// Every teardown runs an explicit leak check: the frames the EPT
     /// held must exactly match what the allocator got back, and the
