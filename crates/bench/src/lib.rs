@@ -3,7 +3,7 @@
 //! Every `benches/` target regenerates one or more of the paper's tables
 //! and figures (see DESIGN.md's per-experiment index) and prints the rows
 //! the paper reports. Scale is controlled by `GEMINI_SCALE`
-//! (`quick` | `bench` | `full`, default `bench`) and op count by
+//! (`quick` | `demo` | `full`, default `demo`) and op count by
 //! `GEMINI_BENCH_OPS`.
 
 use gemini_harness::Scale;

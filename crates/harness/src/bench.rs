@@ -160,7 +160,7 @@ pub struct BatchedRefSection {
 /// Everything one bench invocation measured.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Scale preset name the grid ran at (`quick` | `bench`).
+    /// Scale preset name the grid ran at (`quick` | `demo` | `full`).
     pub scale: String,
     /// Largest worker count the sweep covered.
     pub jobs_max: usize,
@@ -173,18 +173,6 @@ pub struct BenchReport {
     /// Throughput of the demo-scale reference cell, ops per second
     /// (unprofiled run).
     pub reference_ops_per_sec: f64,
-    /// Wall time of the reference cell on a **same-host rebuild of the
-    /// previous PR's tree**, milliseconds, measured interleaved with the
-    /// current binary in the same time window (`--pr6-wall-ms`). `None`
-    /// when no same-host rebuild was measured. This is the honest
-    /// PR-over-PR comparator: the committed BENCH_pr*.json trajectory
-    /// files come from different points in time on a noisy shared host,
-    /// so cross-file wall-clock ratios conflate host drift with real
-    /// changes.
-    pub pr6_same_host_wall_ms: Option<f64>,
-    /// Same as `pr6_same_host_wall_ms`, but against a same-host rebuild
-    /// of the PR 9 tree (`--pr9-wall-ms`).
-    pub pr9_same_host_wall_ms: Option<f64>,
     /// Batched vs `--no-batch` reference-cell legs with the batch
     /// counters of the batched leg.
     pub reference_batched: BatchedRefSection,
@@ -413,8 +401,6 @@ pub fn run_bench(scale: &Scale, scale_name: &str, jobs_max: usize) -> Result<Ben
         available_parallelism: effective_jobs(0),
         reference_wall_ms: reference.wall_ms,
         reference_ops_per_sec: reference.ops_per_sec,
-        pr6_same_host_wall_ms: None,
-        pr9_same_host_wall_ms: None,
         reference_batched,
         reference_phases,
         reference_profiled_wall_ms,
@@ -548,48 +534,6 @@ impl BenchReport {
             "    \"speedup_vs_baseline\": {},\n",
             json_f64(self.speedup_vs_baseline())
         ));
-        match self.pr6_same_host_wall_ms {
-            Some(pr6_ms) => {
-                out.push_str(&format!(
-                    "    \"pr6_same_host_wall_ms\": {},\n",
-                    json_f64(pr6_ms)
-                ));
-                let speedup = if self.reference_wall_ms > 0.0 {
-                    pr6_ms / self.reference_wall_ms
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "    \"speedup_vs_pr6_same_host\": {},\n",
-                    json_f64(speedup)
-                ));
-            }
-            None => {
-                out.push_str("    \"pr6_same_host_wall_ms\": null,\n");
-                out.push_str("    \"speedup_vs_pr6_same_host\": null,\n");
-            }
-        }
-        match self.pr9_same_host_wall_ms {
-            Some(pr9_ms) => {
-                out.push_str(&format!(
-                    "    \"pr9_same_host_wall_ms\": {},\n",
-                    json_f64(pr9_ms)
-                ));
-                let speedup = if self.reference_wall_ms > 0.0 {
-                    pr9_ms / self.reference_wall_ms
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "    \"speedup_vs_pr9_same_host\": {},\n",
-                    json_f64(speedup)
-                ));
-            }
-            None => {
-                out.push_str("    \"pr9_same_host_wall_ms\": null,\n");
-                out.push_str("    \"speedup_vs_pr9_same_host\": null,\n");
-            }
-        }
         let b = &self.reference_batched;
         out.push_str(&format!(
             "    \"batched_wall_ms\": {},\n",
@@ -692,8 +636,6 @@ mod tests {
             available_parallelism: 4,
             reference_wall_ms: 500.0,
             reference_ops_per_sec: 16_000.0,
-            pr6_same_host_wall_ms: Some(1_000.0),
-            pr9_same_host_wall_ms: Some(600.0),
             reference_batched: BatchedRefSection {
                 batched_wall_ms: 495.0,
                 no_batch_wall_ms: 520.0,
@@ -755,10 +697,6 @@ mod tests {
             "\"current_wall_ms\"",
             "\"current_ops_per_sec\"",
             "\"speedup_vs_baseline\"",
-            "\"pr6_same_host_wall_ms\"",
-            "\"speedup_vs_pr6_same_host\"",
-            "\"pr9_same_host_wall_ms\"",
-            "\"speedup_vs_pr9_same_host\"",
             "\"batched_wall_ms\"",
             "\"no_batch_wall_ms\"",
             "\"batch_runs\"",
@@ -792,34 +730,10 @@ mod tests {
     }
 
     #[test]
-    fn same_host_pr6_comparison_is_optional() {
-        // With a same-host rebuild measured, the speedup is the wall
-        // ratio; without one, both fields render as JSON null rather
-        // than a fabricated number.
+    fn batch_fields_are_numeric() {
         let with = synthetic().to_json();
         let v = gemini_obs::jsonread::parse(&with).unwrap();
         let rc = v.get("reference_cell").unwrap();
-        assert_eq!(
-            rc.get("speedup_vs_pr6_same_host").and_then(|s| s.as_f64()),
-            Some(2.0)
-        );
-        let mut none = synthetic();
-        none.pr6_same_host_wall_ms = None;
-        let j = none.to_json();
-        assert!(j.contains("\"pr6_same_host_wall_ms\": null"));
-        assert!(j.contains("\"speedup_vs_pr6_same_host\": null"));
-        gemini_obs::jsonread::parse(&j).expect("null fields still parse");
-    }
-
-    #[test]
-    fn same_host_pr9_comparison_is_optional_and_batch_fields_are_numeric() {
-        let with = synthetic().to_json();
-        let v = gemini_obs::jsonread::parse(&with).unwrap();
-        let rc = v.get("reference_cell").unwrap();
-        assert_eq!(
-            rc.get("speedup_vs_pr9_same_host").and_then(|s| s.as_f64()),
-            Some(1.2)
-        );
         assert_eq!(
             rc.get("batched_hits").and_then(|s| s.as_f64()),
             Some(9_000.0)
@@ -829,12 +743,6 @@ mod tests {
             rc.get("batch_hit_rate").and_then(|s| s.as_f64()),
             Some(0.31)
         );
-        let mut none = synthetic();
-        none.pr9_same_host_wall_ms = None;
-        let j = none.to_json();
-        assert!(j.contains("\"pr9_same_host_wall_ms\": null"));
-        assert!(j.contains("\"speedup_vs_pr9_same_host\": null"));
-        gemini_obs::jsonread::parse(&j).expect("null fields still parse");
     }
 
     #[test]

@@ -1,37 +1,7 @@
 //! `gemini-sim` — command-line driver for the simulator.
 //!
-//! ```text
-//! gemini-sim list
-//! gemini-sim run     --system GEMINI --workload Redis [--fragmented] [--reused]
-//! gemini-sim compare --workload Redis [--fragmented] [--reused]
-//! gemini-sim trace   --system GEMINI --workload Redis [--fragmented]
-//! gemini-sim record  --workload Redis [--system GEMINI] [--trace OUT.jsonl]
-//! gemini-sim replay  [--trace IN.jsonl] [--system GEMINI] [--jobs N]
-//! gemini-sim parity  [--workload Redis] [--fragmented]
-//! gemini-sim fleet   [--scale quick|demo|bench|full] [--jobs N] [--json PATH]
-//! gemini-sim bench   [--scale quick|bench] [--jobs N] [--json BENCH_pr10.json]
-//!                    [--profile trace.json] [--compare OLD.json]
-//!                    [--threshold PCT] [--warn-only] [--pr6-wall-ms MS]
-//!                    [--pr9-wall-ms MS]
-//! gemini-sim bench   --compare OLD.json --against NEW.json   (diff only, no run)
-//!
-//! common flags:
-//!   --scale quick|demo|bench|full   (default demo)
-//!   --ops <n>                       operations per run
-//!   --seed <n>                      run seed
-//!   --jobs <n>                      worker threads for experiment cells
-//!                                   (0 = available parallelism, 1 = sequential)
-//!   --no-ff                         disable the fast-forward core: step every
-//!                                   event faithfully (results are identical;
-//!                                   this only costs wall time)
-//!   --no-batch                      disable closed-form hit-run batching:
-//!                                   probe the TLB for every access of a
-//!                                   hit-only run (results are identical;
-//!                                   this only costs wall time)
-//!   --json <path>                   export results (and any trace) as JSON Lines
-//!   --trace <path>                  gemini-trace-v1 file: written by `record`
-//!                                   (default stdout), read by `replay`
-//!                                   (default stdin)
+//! Commands and flags are listed in `USAGE`, which the binary prints
+//! when run without a command or with a flag it does not know.
 //!
 //! `record` runs one scenario live and tees every workload event into a
 //! versioned `gemini-trace-v1` trace (DESIGN.md §15) while printing the
@@ -55,17 +25,6 @@
 //! deterministic plan first-fit packed onto simulated hosts, each host
 //! one executor cell, every VM torn down through the leak-checked
 //! `remove_vm` path when its lifetime ends.
-//!
-//! bench flags:
-//!   --profile <path>   write a Chrome-trace-event (Perfetto) timeline of
-//!                      the fig. 3 grid run to <path>
-//!   --compare <old>    diff the new bench report against <old>; exits
-//!                      nonzero on wall-time regressions beyond the threshold
-//!   --against <new>    with --compare: diff two existing files, run nothing
-//!   --threshold <pct>  regression threshold in percent (default 10)
-//!   --warn-only        print regressions but always exit zero (CI at demo
-//!                      scale in noisy containers)
-//! ```
 //!
 //! `trace` reruns one workload with full event tracing, metrics and
 //! time-series sampling on, then prints the event summary, the sampled
@@ -105,21 +64,61 @@ struct Opts {
     against: Option<PathBuf>,
     threshold_pct: f64,
     warn_only: bool,
-    pr6_wall_ms: Option<f64>,
-    pr9_wall_ms: Option<f64>,
 }
 
+/// Every command and flag `parse` accepts; a test keeps the two in step.
+const USAGE: &str = "\
+usage: gemini-sim <command> [flags]
+
+commands:
+  list
+  run     --system GEMINI --workload Redis [--fragmented] [--reused]
+  compare --workload Redis [--fragmented] [--reused]
+  trace   --system GEMINI --workload Redis [--fragmented]
+  record  --workload Redis [--system GEMINI] [--trace OUT.jsonl]
+  replay  [--trace IN.jsonl] [--system GEMINI] [--jobs N]
+  parity  [--workload Redis] [--fragmented]
+  fleet   [--scale NAME] [--jobs N] [--json PATH]
+  bench   [--scale NAME] [--jobs N] [--json REPORT.json] [--profile TRACE.json]
+          [--compare OLD.json] [--threshold PCT] [--warn-only]
+  bench   --compare OLD.json --against NEW.json   (diff only, no run)
+
+common flags:
+  --system NAME          system under test (a registry label)
+  --workload NAME        catalog workload
+  --scale quick|demo|full
+                         sizing preset (default demo)
+  --ops N                operations per run
+  --seed N               run seed
+  --jobs N               worker threads for experiment cells
+                         (0 = available parallelism, 1 = sequential)
+  --fragmented           fragment both memory layers before the run
+  --reused               run after a predecessor job in the same VM
+  --no-ff                disable the fast-forward core: step every event
+                         faithfully (results are identical; this only
+                         costs wall time)
+  --no-batch             disable closed-form hit-run batching: probe the
+                         TLB for every access of a hit-only run (results
+                         are identical; this only costs wall time)
+  --json PATH            export results (and any trace) as JSON Lines;
+                         for bench, the report path (default bench.json)
+  --trace PATH           gemini-trace-v1 file: written by record (default
+                         stdout), read by replay (default stdin)
+
+bench flags:
+  --profile PATH         write a Chrome-trace-event (Perfetto) timeline of
+                         the fig. 3 grid run to PATH
+  --compare OLD          diff the new bench report against OLD; exits
+                         nonzero on wall-time regressions beyond the
+                         threshold
+  --against NEW          with --compare: diff two existing files, run
+                         nothing
+  --threshold PCT        regression threshold in percent (default 10)
+  --warn-only            print regressions but always exit zero
+";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: gemini-sim <list|run|compare|trace|record|replay|parity|fleet|bench>\n\
-         \x20                [--system NAME] [--workload NAME]\n\
-         \x20                [--scale quick|demo|bench|full] [--ops N] [--seed N] [--jobs N]\n\
-         \x20                [--no-ff] [--fragmented] [--reused] [--json PATH]\n\
-         \x20 record/replay: [--trace PATH]   (record writes, default stdout;\n\
-         \x20                                  replay reads, default stdin)\n\
-         \x20 bench only:    [--profile TRACE.json] [--compare OLD.json] [--against NEW.json]\n\
-         \x20                [--threshold PCT] [--warn-only] [--pr6-wall-ms MS]"
-    );
+    eprint!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -129,7 +128,6 @@ fn scale_by_name(name: &str) -> Option<Scale> {
     match name {
         "quick" => Some(Scale::quick()),
         "demo" => Some(Scale::demo()),
-        "bench" => Some(Scale::bench()),
         "full" => Some(Scale::full()),
         _ => None,
     }
@@ -153,8 +151,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         against: None,
         threshold_pct: perfdiff::DEFAULT_THRESHOLD_PCT,
         warn_only: false,
-        pr6_wall_ms: None,
-        pr9_wall_ms: None,
     };
     // `--jobs`, `--ops` and `--no-ff` are applied after the loop so
     // they win regardless of whether they appear before or after
@@ -197,20 +193,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                     .map_err(|e| format!("--threshold: {e}"))?;
             }
             "--warn-only" => opts.warn_only = true,
-            "--pr6-wall-ms" => {
-                opts.pr6_wall_ms = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--pr6-wall-ms: {e}"))?,
-                );
-            }
-            "--pr9-wall-ms" => {
-                opts.pr9_wall_ms = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--pr9-wall-ms: {e}"))?,
-                );
-            }
             "--no-ff" => no_ff = true,
             "--no-batch" => no_batch = true,
             "--fragmented" => opts.fragmented = true,
@@ -798,10 +780,8 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
         return Err("--against needs --compare OLD.json".into());
     }
     let jobs_max = effective_jobs(opts.scale.jobs);
-    let mut report = gemini_harness::bench::run_bench(&opts.scale, &opts.scale_name, jobs_max)
+    let report = gemini_harness::bench::run_bench(&opts.scale, &opts.scale_name, jobs_max)
         .map_err(|e| format!("bench failed: {e}"))?;
-    report.pr6_same_host_wall_ms = opts.pr6_wall_ms;
-    report.pr9_same_host_wall_ms = opts.pr9_wall_ms;
     let mut t = Table::new(
         format!("bench — fig. 3 grid cells at {} scale", opts.scale_name),
         &["cell", "wall ms", "ops/s (wall)"],
@@ -828,22 +808,6 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
         report.speedup_vs_baseline(),
         gemini_harness::bench::BASELINE_OPS_PER_SEC,
     );
-    if let Some(pr6_ms) = report.pr6_same_host_wall_ms {
-        eprintln!(
-            "reference cell vs same-host PR 6 rebuild: {:.0} ms -> {:.0} ms ({:.2}x)",
-            pr6_ms,
-            report.reference_wall_ms,
-            pr6_ms / report.reference_wall_ms.max(1e-9),
-        );
-    }
-    if let Some(pr9_ms) = report.pr9_same_host_wall_ms {
-        eprintln!(
-            "reference cell vs same-host PR 9 rebuild: {:.0} ms -> {:.0} ms ({:.2}x)",
-            pr9_ms,
-            report.reference_wall_ms,
-            pr9_ms / report.reference_wall_ms.max(1e-9),
-        );
-    }
     eprintln!(
         "reference cell --no-batch: {:.0} ms vs {:.0} ms batched ({:.2}x); batch hit rate {:.1}% ({} hits / {} runs, {} breaks)",
         report.reference_batched.no_batch_wall_ms,
@@ -882,7 +846,7 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     let path = opts
         .json
         .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_pr10.json"));
+        .unwrap_or_else(|| PathBuf::from("bench.json"));
     std::fs::write(&path, &report_json).map_err(|e| format!("writing {}: {e}", path.display()))?;
     eprintln!("wrote bench report to {}", path.display());
     if let Some(trace_path) = &opts.profile {
@@ -973,27 +937,11 @@ mod tests {
     }
 
     #[test]
-    fn no_batch_and_pr9_wall_ms_survive_scale_in_either_order() {
-        let before = parse_ok(&[
-            "bench",
-            "--no-batch",
-            "--pr9-wall-ms",
-            "123.5",
-            "--scale",
-            "quick",
-        ]);
-        let after = parse_ok(&[
-            "bench",
-            "--scale",
-            "quick",
-            "--no-batch",
-            "--pr9-wall-ms",
-            "123.5",
-        ]);
+    fn no_batch_survives_scale_in_either_order() {
+        let before = parse_ok(&["bench", "--no-batch", "--scale", "quick"]);
+        let after = parse_ok(&["bench", "--scale", "quick", "--no-batch"]);
         assert!(before.scale.no_batch);
         assert!(after.scale.no_batch);
-        assert_eq!(before.pr9_wall_ms, Some(123.5));
-        assert_eq!(after.pr9_wall_ms, Some(123.5));
         // Default stays off: batching is opt-out.
         assert!(!parse_ok(&["run"]).scale.no_batch);
     }
@@ -1005,6 +953,38 @@ mod tests {
         assert_eq!(opts.scale_name, "demo");
         assert_eq!(opts.scale.ops, 77);
         assert!(opts.trace_path.is_none());
+    }
+
+    #[test]
+    fn usage_names_every_flag_parse_accepts() {
+        // The accepted flags are read off `parse`'s own match arms, so a
+        // flag added there without a usage line fails here.
+        let src = include_str!("gemini-sim.rs");
+        let body = &src[src.find("\nfn parse(").expect("parse is defined")..];
+        let body = &body[..body.find("\n}\n").expect("parse ends")];
+        let is_flag = |t: &str| {
+            t.len() > 2
+                && t.starts_with("--")
+                && t[2..].chars().all(|c| c.is_ascii_lowercase() || c == '-')
+        };
+        let accepted: Vec<&str> = body.split('"').filter(|t| is_flag(t)).collect();
+        assert!(accepted.len() >= 10, "found only {accepted:?}");
+        let named: Vec<&str> = USAGE
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|t| is_flag(t))
+            .collect();
+        for flag in accepted {
+            assert!(named.contains(&flag), "usage text omits {flag}");
+        }
+    }
+
+    #[test]
+    fn bench_is_not_a_scale() {
+        let args: Vec<String> = ["run", "--scale", "bench"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(parse(&args).unwrap_err().contains("unknown scale"));
     }
 
     #[test]

@@ -240,12 +240,12 @@ mod tests {
         // Daemon periods are calibrated for full-scale working sets; with
         // smaller ones the runs are too short for any background
         // coalescing to act on fragmented memory, so this ordering check
-        // needs the full working-set factor. Memory sizing stays at bench
+        // needs the full working-set factor. Memory sizing stays at demo
         // scale and the grid is reduced to keep the test tractable.
         let scale = Scale {
             ws_factor: 1.0,
             ops: 6_000,
-            ..Scale::bench()
+            ..Scale::demo()
         };
         let res = run(&scale, Some(&["Masstree", "Redis"])).unwrap();
         assert_eq!(res.workloads, vec!["Masstree", "Redis"]);

@@ -58,29 +58,10 @@ impl Scale {
         }
     }
 
-    /// Preset for the runnable examples: large and long enough for the
-    /// background daemons to visibly differentiate the systems, small
-    /// enough to finish in tens of seconds.
+    /// The default preset: large and long enough for the background
+    /// daemons to differentiate the systems the way the paper's figures
+    /// do, small enough to sweep every grid in minutes.
     pub fn demo() -> Self {
-        // The calibrated regime (same sizing as `bench`): working sets
-        // and run lengths where the background daemons differentiate the
-        // systems the way the paper's figures do.
-        Self {
-            ws_factor: 0.25,
-            ops: 8_000,
-            host_frames: 1 << 18, // 1 GiB.
-            vm_frames: 1 << 17,   // 512 MiB.
-            frag_target: 0.9,
-            seed: 42,
-            jobs: 0,
-            no_ff: false,
-            no_batch: false,
-        }
-    }
-
-    /// Default preset for `cargo bench`: large enough for the TLB regime
-    /// to match the paper's, small enough to sweep all grids in minutes.
-    pub fn bench() -> Self {
         Self {
             ws_factor: 0.25,
             ops: 8_000,
@@ -109,14 +90,14 @@ impl Scale {
         }
     }
 
-    /// Reads `GEMINI_SCALE` (`quick` | `bench` | `full`; defaults to
-    /// `bench`) and `GEMINI_JOBS` (worker threads for experiment
+    /// Reads `GEMINI_SCALE` (`quick` | `demo` | `full`; defaults to
+    /// `demo`) and `GEMINI_JOBS` (worker threads for experiment
     /// cells; `0` = available parallelism).
     pub fn from_env() -> Self {
         let mut scale = match std::env::var("GEMINI_SCALE").as_deref() {
             Ok("quick") => Self::quick(),
             Ok("full") => Self::full(),
-            _ => Self::bench(),
+            _ => Self::demo(),
         };
         if let Ok(jobs) = std::env::var("GEMINI_JOBS") {
             if let Some(jobs) = parse_jobs(&jobs) {
@@ -197,11 +178,11 @@ mod tests {
     #[test]
     fn presets_are_ordered() {
         let q = Scale::quick();
-        let b = Scale::bench();
+        let d = Scale::demo();
         let f = Scale::full();
-        assert!(q.ws_factor < b.ws_factor && b.ws_factor < f.ws_factor);
-        assert!(q.ops < b.ops && b.ops < f.ops);
-        assert!(q.host_frames < b.host_frames);
+        assert!(q.ws_factor < d.ws_factor && d.ws_factor < f.ws_factor);
+        assert!(q.ops < d.ops && d.ops < f.ops);
+        assert!(q.host_frames < d.host_frames);
     }
 
     #[test]

@@ -1389,7 +1389,7 @@ mod tests {
         // TLB-miss separation needs full-scale working sets (the harness
         // experiments); at this test scale the counts are noise, and only
         // a few daemon passes fit the run, so the absolute rate floor is
-        // modest (bench-scale floors live in the paper-claims tests).
+        // modest (demo-scale floors live in the paper-claims tests).
         assert!(r_gem.aligned_rate() > 0.5, "{}", r_gem.aligned_rate());
     }
 

@@ -40,10 +40,10 @@ fn claim_fig2_only_well_aligned_huge_pages_help() {
 #[test]
 fn claim_tab1_gemini_aligns_most_huge_pages() {
     // Alignment formation is daemon-paced, so this claim needs runs long
-    // enough for background coalescing to act: bench scale.
+    // enough for background coalescing to act: demo scale.
     let res = motivation::run(&Scale {
         ops: 5_000,
-        ..Scale::bench()
+        ..Scale::demo()
     })
     .unwrap();
     let eval = SystemKind::evaluated();

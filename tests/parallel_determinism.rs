@@ -111,8 +111,6 @@ fn bench_report_schema_is_pinned() {
         available_parallelism: 8,
         reference_wall_ms: 500.0,
         reference_ops_per_sec: 15338.0,
-        pr6_same_host_wall_ms: Some(1000.0),
-        pr9_same_host_wall_ms: Some(750.0),
         reference_batched: BatchedRefSection {
             batched_wall_ms: 495.0,
             no_batch_wall_ms: 520.0,
@@ -178,10 +176,6 @@ fn bench_report_schema_is_pinned() {
     "current_wall_ms": 500,
     "current_ops_per_sec": 15338,
     "speedup_vs_baseline": 2,
-    "pr6_same_host_wall_ms": 1000,
-    "speedup_vs_pr6_same_host": 2,
-    "pr9_same_host_wall_ms": 750,
-    "speedup_vs_pr9_same_host": 1.5,
     "batched_wall_ms": 495,
     "no_batch_wall_ms": 520,
     "batch_runs": 1200,
