@@ -81,61 +81,54 @@ echo "fleet: demo-scale lifecycle grid drained leak-free"
 echo "== record/replay smoke (quick scale, GEMINI_JOBS=2) =="
 # DESIGN.md §15 end to end through the CLI: record a quick fragmented
 # Redis run to a gemini-trace-v1 file, replay it through the same
-# scenario, and require the two --json exports byte-identical. Both
-# filenames match the ignored *.jsonl pattern, so nothing leaks into
-# the tree.
+# scenario, and require the two --json exports byte-identical. All
+# three filenames match the ignored *.jsonl pattern, so nothing leaks
+# into the tree.
 GEMINI_JOBS=2 "$BIN" record --workload Redis --scale quick --fragmented \
-    --trace trace_pr10_quick.jsonl --json record_pr10_quick.jsonl > /dev/null
-GEMINI_JOBS=2 "$BIN" replay --trace trace_pr10_quick.jsonl --system GEMINI \
-    --json replay_pr10_quick.jsonl > /dev/null 2> /dev/null
-cmp record_pr10_quick.jsonl replay_pr10_quick.jsonl
-rm -f trace_pr10_quick.jsonl record_pr10_quick.jsonl replay_pr10_quick.jsonl
+    --trace smoke_trace.jsonl --json smoke_record.jsonl > /dev/null
+GEMINI_JOBS=2 "$BIN" replay --trace smoke_trace.jsonl --system GEMINI \
+    --json smoke_replay.jsonl > /dev/null 2> /dev/null
+cmp smoke_record.jsonl smoke_replay.jsonl
+rm -f smoke_trace.jsonl smoke_record.jsonl smoke_replay.jsonl
 echo "record/replay: replayed run byte-identical to the recorded one"
 
-echo "== bench report + perf gate (quick scale, BENCH_pr10_quick.json) =="
+echo "== bench report + perf gate (quick scale, bench_quick.json) =="
 # The full bench harness at quick scale: reference-cell speedup vs the
 # recorded pre-PR-4 baseline, per-cell fig3 timings with phase
-# breakdowns, the sharded reference leg, and a jobs sweep; then the
-# perf-regression gate against the previous run's report. Warn-only:
-# this demo container is single-threaded and noisy, so regressions are
-# reported, not fatal — on a quiet benchmarking host drop --warn-only
-# to make it a hard gate. The committed BENCH_pr*.json trajectory files
-# (demo scale) are artifacts and are left untouched; the gate diffs the
-# quick-scale report against its own previous self when one exists, and
-# otherwise against the committed BENCH_pr7.json (demo scale — the
-# absolute walls differ by design, so the first diff is informational).
-# The report now carries the schema-additive fleet section (VM count,
-# churn events, mean host FMFI); the diff matches cells by label, so
-# comparing against pre-fleet reports stays valid.
-if [ -f BENCH_pr10_quick.json ]; then
-    mv BENCH_pr10_quick.json BENCH_prev_quick.json
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_prev_quick.json --warn-only
-    rm -f BENCH_prev_quick.json
-elif [ -f BENCH_pr9_quick.json ]; then
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_pr9_quick.json --warn-only
-    rm -f BENCH_pr9_quick.json trace_pr9.json
+# breakdowns and a jobs sweep; then the perf-regression gate. The report
+# and the Perfetto trace go to fixed, git-ignored names. The gate diffs
+# the new report against the previous run's when one exists, and
+# otherwise against the newest committed BENCH_pr*.json (demo scale:
+# the absolute walls differ by design, so that first diff is
+# informational). Warn-only: this container is small and noisy, so
+# regressions are reported, not fatal — on a quiet benchmarking host
+# drop --warn-only to make it a hard gate. The diff matches cells by
+# label, so comparing against older reports stays valid.
+if [ -f bench_quick.json ]; then
+    mv bench_quick.json bench_prev_quick.json
+    baseline=bench_prev_quick.json
 else
-    "$BIN" bench --scale quick --jobs 2 --json BENCH_pr10_quick.json \
-        --profile trace_pr10.json --compare BENCH_pr9.json --warn-only
+    baseline=$(printf '%s\n' BENCH_pr*.json | grep -v '_quick\.json$' | sort -V | tail -n 1)
 fi
-echo "bench report written to BENCH_pr10_quick.json"
+"$BIN" bench --scale quick --jobs 2 --json bench_quick.json \
+    --profile bench_trace.json --compare "$baseline" --warn-only
+rm -f bench_prev_quick.json
+echo "bench report written to bench_quick.json (compared against $baseline)"
 
-# The committed demo-scale BENCH_pr10.json is regenerated out-of-band:
-#   gemini-sim bench --scale demo --jobs 2 --json BENCH_pr10.json \
-#       --compare BENCH_pr9.json --warn-only
-# On a quiet host, add --pr9-wall-ms <MS> with the reference-cell wall
-# of a same-host previous-PR rebuild (git worktree at that tip),
-# measured interleaved with the current binary in one window — see
-# DESIGN.md §13 on host drift.
+# The committed demo-scale BENCH_pr<N>.json trajectory files are
+# regenerated out of band:
+#   gemini-sim bench --scale demo --jobs 2 --json BENCH_pr<N>.json \
+#       --compare <newest BENCH_pr*.json> --warn-only
+# A same-host A/B of two commits is the benchmark's own parent-vs-change
+# run (perfbench/README.md), interleaved in one window — see DESIGN.md
+# §13 on host drift.
 
-echo "== profile smoke check (trace_pr10.json) =="
+echo "== profile smoke check (bench_trace.json) =="
 # The Perfetto trace must exist, be non-empty, look like a
 # Chrome-trace-event document, and carry the batch counter tracks.
-test -s trace_pr10.json
-grep -q '"traceEvents"' trace_pr10.json
-grep -q '"tlb.batched_hits"' trace_pr10.json
-echo "trace written to trace_pr10.json ($(wc -c < trace_pr10.json) bytes)"
+test -s bench_trace.json
+grep -q '"traceEvents"' bench_trace.json
+grep -q '"tlb.batched_hits"' bench_trace.json
+echo "trace written to bench_trace.json ($(wc -c < bench_trace.json) bytes)"
 
 echo "CI gate passed."
