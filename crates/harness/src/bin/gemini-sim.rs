@@ -979,15 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_is_not_a_scale() {
-        let args: Vec<String> = ["run", "--scale", "bench"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse(&args).unwrap_err().contains("unknown scale"));
-    }
-
-    #[test]
     fn trace_flag_parses_and_unknown_scale_errors() {
         let opts = parse_ok(&["replay", "--trace", "t.jsonl", "--system", "GEMINI"]);
         assert_eq!(
@@ -995,10 +986,12 @@ mod tests {
             Some(std::path::Path::new("t.jsonl"))
         );
         assert_eq!(opts.system.as_deref(), Some("GEMINI"));
-        let args: Vec<String> = ["run", "--scale", "galactic"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse(&args).unwrap_err().contains("unknown scale"));
+        for name in ["galactic", "bench"] {
+            let args: Vec<String> = ["run", "--scale", name]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert!(parse(&args).unwrap_err().contains("unknown scale"));
+        }
     }
 }
