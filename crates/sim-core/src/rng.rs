@@ -94,15 +94,19 @@ impl DetRng {
     /// Uniform integer in `[0, bound)`; `bound` must be non-zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
-        // Debiased multiply-shift (Lemire): uniform without modulo bias.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        // Debiased multiply-shift (Lemire): a draw is rejected when the
+        // low product word falls below `2^64 mod bound`. That threshold
+        // is itself below `bound`, so the division computing it is paid
+        // only when the low word is too; every other draw is accepted
+        // outright, exactly as the threshold test would accept it.
+        let mut m = (self.next_u64() as u128) * (bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 
     /// Uniform integer in `[lo, hi)`.
@@ -278,6 +282,58 @@ mod tests {
         let mut c1 = parent1.fork();
         let mut c2 = parent2.fork();
         assert_eq!(c1.below(1000), c2.below(1000));
+    }
+
+    #[test]
+    fn below_draws_exactly_like_the_threshold_first_loop() {
+        // The reference: Lemire's loop computing the rejection
+        // threshold before the first draw.
+        fn reference(rng: &mut DetRng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = (rng.next_u64() as u128) * (bound as u128);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        let fixed = [
+            1,
+            2,
+            3,
+            511,
+            512,
+            513,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut bounds = DetRng::new(17);
+        for seed in 0..8 {
+            let mut fast = DetRng::new(seed);
+            let mut slow = DetRng::new(seed);
+            let drawn: Vec<u64> = (0..64)
+                .map(|i| match i % 3 {
+                    0 => bounds.below(1 << 12) + 1,
+                    1 => bounds.below(u64::MAX) + 1,
+                    _ => (1 << 63) + bounds.below(1 << 62),
+                })
+                .collect();
+            for &bound in fixed.iter().chain(&drawn) {
+                for _ in 0..32 {
+                    assert_eq!(
+                        fast.below(bound),
+                        reference(&mut slow, bound),
+                        "bound {bound}"
+                    );
+                    // Same state: the same number of draws was consumed.
+                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "bound {bound}");
+                }
+            }
+        }
     }
 
     #[test]
