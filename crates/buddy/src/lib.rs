@@ -26,6 +26,10 @@
 //! - [`BuddyAllocator::free_sorted`] — release of a sorted frame set (a
 //!   departing VM's footprint) in time proportional to the set, not to
 //!   the managed range;
+//! - [`BuddyAllocator::pin_sorted`] — the fragmented starting layout: a
+//!   sorted set of single frames taken out of a fully free allocator,
+//!   built in one pass over the gaps between them, so fragmenting a host
+//!   costs time proportional to the pins, not to its size;
 //! - [`BuddyAllocator::free_area_counts`] — per-order free-block counts for
 //!   the fragmentation index (FMFI) that Ingens and Algorithm 1 consume.
 //!
@@ -118,10 +122,6 @@ pub struct BuddyAllocator {
     /// Work counter: indexed runs inserted, removed or resized since the
     /// last [`BuddyAllocator::take_work_counters`].
     index_updates: Cell<u64>,
-    /// False only inside [`BuddyAllocator::bulk_update`], where per-op
-    /// index maintenance is suspended and the index rebuilt once at the
-    /// end. Queries must not run while false.
-    index_live: bool,
 }
 
 impl BuddyAllocator {
@@ -137,7 +137,6 @@ impl BuddyAllocator {
             runs_by_size: BTreeMap::new(),
             run_probes: Cell::new(0),
             index_updates: Cell::new(0),
-            index_live: true,
         };
         for (start, order) in aligned_blocks(0, num_frames) {
             alloc.insert_free(start, order);
@@ -192,93 +191,55 @@ impl BuddyAllocator {
         Ok(start)
     }
 
-    /// Allocates every free frame as a single frame, returning them in the
-    /// exact order repeated [`BuddyAllocator::alloc`]`(0)` calls would:
-    /// free blocks sorted by `(order, start)`, each block's frames
-    /// ascending. `alloc` always takes the lowest block of the smallest
-    /// non-empty order, and the remainders of a split are smaller than
-    /// every other block — so a block, once started, drains completely
-    /// (ascending) before any other is touched, and blocks begin in
-    /// `(order, start)` order. One O(frames) pass replaces O(frames)
-    /// `alloc` calls with their per-call split bookkeeping.
+    /// Allocates the single frames `pins` — strictly ascending — out of a
+    /// fully free allocator, in one pass over the gaps between them.
     ///
-    /// Only callable inside [`BuddyAllocator::bulk_update`] (the
-    /// fragmenter's whole-memory grab), where index maintenance is
-    /// suspended; debug builds assert this.
-    pub fn drain_singles(&mut self) -> Vec<u64> {
-        debug_assert!(!self.index_live, "drain_singles outside bulk_update");
-        let mut blocks: Vec<(u32, u64)> = Vec::new();
-        for start in 0..self.total_frames {
-            let marker = self.order_of[start as usize];
-            if marker != NO_BLOCK {
-                blocks.push((marker as u32, start));
-            }
+    /// Each gap becomes one free run: carved into aligned blocks (the
+    /// unique eagerly-merged decomposition, see
+    /// [`BuddyAllocator::free_sorted`]) and entered into the run index
+    /// with one update. The size histogram is counted in a hash map and
+    /// built once at the end, which halves the cost against one ordered
+    /// map update per run. The cost is O(pins + blocks), whatever the
+    /// size of the managed range — the fragmenter's construction, which
+    /// pins one frame per huge region plus a small fraction of the rest.
+    ///
+    /// Fails with [`SimError::RangeBusy`] unless every frame is free, and
+    /// with [`SimError::OutOfRange`] on a pin that is out of range or out
+    /// of order; the allocator is unchanged on failure.
+    pub fn pin_sorted(&mut self, pins: &[u64]) -> Result<(), SimError> {
+        if self.free_frames != self.total_frames {
+            return Err(SimError::RangeBusy);
         }
-        blocks.sort_unstable();
-        let mut out = Vec::with_capacity(self.free_frames as usize);
-        for &(order, start) in &blocks {
-            self.order_of[start as usize] = NO_BLOCK;
-            self.counts[order as usize] -= 1;
-            out.extend(start..start + (1u64 << order));
+        let ascending = pins.windows(2).all(|w| w[0] < w[1]);
+        if !ascending || pins.last().is_some_and(|&f| f >= self.total_frames) {
+            return Err(SimError::OutOfRange);
         }
-        self.free_frames = 0;
-        out
-    }
-
-    /// Frees `frames` (single frames, any order, no duplicates) in one
-    /// pass, producing the same end state as freeing them one at a time.
-    ///
-    /// Eager merging makes the block decomposition of a given free-frame
-    /// set unique: two same-order free buddies never coexist, which forces
-    /// every free frame into the largest aligned block that is entirely
-    /// free. The order frees happen in therefore cannot matter, and the
-    /// greedy carve used by [`BuddyAllocator::new`] reconstructs exactly
-    /// that decomposition run by run — without the per-free merge chain
-    /// and overlap scan.
-    ///
-    /// The pass is O(frames managed), whatever the number of `frames`:
-    /// right for the fragmenter's release of most of memory, wrong for a
-    /// small footprint (use [`BuddyAllocator::free_sorted`]). Only
-    /// callable inside [`BuddyAllocator::bulk_update`], where index
-    /// maintenance is suspended; debug builds assert this.
-    pub fn free_singles(&mut self, frames: &[u64]) -> Result<(), SimError> {
-        debug_assert!(!self.index_live, "free_singles outside bulk_update");
-        // Expand current free blocks plus the new singles into a bitmap.
-        let n = self.total_frames as usize;
-        let mut free = vec![false; n];
-        for start in 0..n {
-            let marker = self.order_of[start];
-            if marker != NO_BLOCK {
-                for f in free[start..start + (1usize << marker)].iter_mut() {
-                    *f = true;
+        // Unindex the one run and drop the blocks of the fully free
+        // layout, which is the greedy carve of the whole range.
+        let n = self.total_frames;
+        if n > 0 {
+            self.runs.clear_start(0);
+            self.runs.clear_end(n - 1);
+        }
+        for (start, order) in aligned_blocks(0, n) {
+            self.remove_free(start, order);
+        }
+        let mut by_len: FxHashMap<u64, u64> = FxHashMap::default();
+        let mut gap_start = 0;
+        for &end in pins.iter().chain(std::iter::once(&n)) {
+            if end > gap_start {
+                for (start, order) in aligned_blocks(gap_start, end) {
+                    self.insert_free(start, order);
                 }
+                self.runs.set_start(gap_start);
+                self.runs.set_end(end - 1);
+                *by_len.entry(end - gap_start).or_insert(0) += 1;
             }
+            gap_start = end + 1;
         }
-        for &f in frames {
-            if f >= self.total_frames || free[f as usize] {
-                return Err(bad_free(f));
-            }
-            free[f as usize] = true;
-        }
-        // Rebuild the canonical decomposition from scratch.
-        self.order_of.fill(NO_BLOCK);
-        self.counts.fill(0);
-        let mut frame = 0usize;
-        while frame < n {
-            if !free[frame] {
-                frame += 1;
-                continue;
-            }
-            let mut end = frame;
-            while end < n && free[end] {
-                end += 1;
-            }
-            for (start, order) in aligned_blocks(frame as u64, end as u64) {
-                self.insert_free(start, order);
-            }
-            frame = end;
-        }
-        self.free_frames += frames.len() as u64;
+        self.count_index_updates(by_len.values().sum());
+        self.runs_by_size = by_len.into_iter().collect();
+        self.free_frames -= pins.len() as u64;
         Ok(())
     }
 
@@ -289,11 +250,13 @@ impl BuddyAllocator {
     /// Each maximal stretch of consecutive frames is released as one
     /// range: carved into aligned blocks that merge with their buddies
     /// exactly as [`BuddyAllocator::free`] merges, then one index update.
-    /// The end state equals [`BuddyAllocator::free_singles`] of the same
-    /// set (the block decomposition of a free-frame set is unique; see
-    /// there). Fails with [`SimError::BadFree`] on a frame that is
-    /// already free, out of range, or out of order; stretches before the
-    /// failing one stay freed.
+    /// The end state equals freeing the same frames one at a time, in
+    /// any order: eager merging makes the block decomposition of a
+    /// free-frame set unique (two same-order free buddies never coexist,
+    /// which forces every free frame into the largest aligned block that
+    /// is entirely free). Fails with [`SimError::BadFree`] on a frame
+    /// that is already free, out of range, or out of order; stretches
+    /// before the failing one stay freed.
     pub fn free_sorted(&mut self, frames: &[u64]) -> Result<(), SimError> {
         let mut rest = frames;
         while let Some(&start) = rest.first() {
@@ -460,14 +423,12 @@ impl BuddyAllocator {
     /// below it) is excluded, matching
     /// `free_runs().filter(|r| r.0 >= frame)`.
     pub fn free_runs_from(&self, frame: u64) -> FreeRuns<'_> {
-        debug_assert!(self.index_live, "query inside bulk_update");
         self.runs.runs_from(frame)
     }
 
     /// Re-derives the maximal free runs by scanning `order_of` from
-    /// scratch, in O(frames managed): the source
-    /// [`BuddyAllocator::bulk_update`] rebuilds the index from, and the
-    /// reference the property tests hold the incremental index to.
+    /// scratch, in O(frames managed): the reference the property tests
+    /// hold the incremental index to.
     pub fn free_runs_rescan(&self) -> Vec<(u64, u64)> {
         let n = self.total_frames;
         let mut runs = Vec::new();
@@ -490,7 +451,6 @@ impl BuddyAllocator {
     /// Length of the largest maximal free run, in frames. O(log lens)
     /// off the size-ordered index.
     pub fn largest_free_run(&self) -> u64 {
-        debug_assert!(self.index_live, "query inside bulk_update");
         self.runs_by_size
             .last_key_value()
             .map(|(&len, _)| len)
@@ -562,7 +522,6 @@ impl BuddyAllocator {
     /// Number of free runs holding at least `min_len` frames. O(answers)
     /// off the size-ordered index.
     pub fn count_runs_at_least(&self, min_len: u64) -> u64 {
-        debug_assert!(self.index_live, "query inside bulk_update");
         self.runs_by_size.range(min_len..).map(|(_, &c)| c).sum()
     }
 
@@ -581,30 +540,6 @@ impl BuddyAllocator {
             }
         }
         None
-    }
-
-    /// Runs `f` with per-operation index maintenance suspended, then
-    /// rebuilds the run index once from an `order_of` rescan.
-    ///
-    /// For bulk churn over most of memory — the fragmenter, which
-    /// allocates every frame singly and frees most of them back — the
-    /// net effect is one O(frames) layout, so one O(frames) rebuild beats
-    /// maintaining the index through every intermediate operation. The
-    /// rebuilt index is identical to what incremental maintenance would
-    /// have produced (both equal the rescan), so results are unchanged.
-    ///
-    /// Queries (`free_runs*`, `first_*`, `largest_free_run`, ...) must
-    /// not be called from inside `f`; debug builds assert this.
-    pub fn bulk_update<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.index_live = false;
-        self.runs.clear();
-        self.runs_by_size.clear();
-        let out = f(self);
-        for (start, len) in self.free_runs_rescan() {
-            self.index_insert(start, len);
-        }
-        self.index_live = true;
-        out
     }
 
     /// Drains the deterministic work counters accumulated since the last
@@ -757,9 +692,6 @@ impl BuddyAllocator {
     /// run removed or resized plus one inserted when a right remainder
     /// exists.
     fn index_allocate_range(&mut self, start: u64, len: u64) {
-        if !self.index_live {
-            return;
-        }
         let last = start + len - 1;
         let run_start = self
             .runs
@@ -794,9 +726,6 @@ impl BuddyAllocator {
     /// one. Counted as one run inserted or grown, plus one removed when
     /// a right neighbour is absorbed.
     fn index_free_range(&mut self, start: u64, len: u64) {
-        if !self.index_live {
-            return;
-        }
         let last = start + len - 1;
         let mut run_start = start;
         if start > 0 && self.runs.is_end(start - 1) {
@@ -1028,13 +957,6 @@ impl RunBits {
         }
     }
 
-    fn clear(&mut self) {
-        self.starts.fill(0);
-        self.ends.fill(0);
-        self.summary.fill(0);
-        self.top.fill(0);
-    }
-
     fn is_start(&self, f: u64) -> bool {
         self.starts[word_of(f)] & bit_of(f) != 0
     }
@@ -1249,80 +1171,29 @@ mod tests {
     }
 
     #[test]
-    fn drain_singles_matches_repeated_alloc() {
-        // From a fresh odd-sized carve and from an arbitrary punched-out
-        // state, the bulk drain must emit the same sequence as looping
-        // `alloc(0)` until exhaustion.
-        for punch in [&[][..], &[3, 17, 100, 701, 702, 998][..]] {
-            let mut via_loop = BuddyAllocator::new(1000);
-            let mut via_drain = BuddyAllocator::new(1000);
-            for &f in punch {
-                via_loop.alloc_at(f, 0).unwrap();
-                via_drain.alloc_at(f, 0).unwrap();
-            }
-            let looped = via_loop.bulk_update(|b| {
-                let mut v = Vec::new();
-                while let Ok(f) = b.alloc(0) {
-                    v.push(f);
-                }
-                v
-            });
-            let drained = via_drain.bulk_update(|b| b.drain_singles());
-            assert_eq!(looped, drained);
-            assert_eq!(via_drain.free_frames(), 0);
-            via_drain.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn free_singles_matches_sequential_frees() {
-        // Drain everything, then free a pseudo-random subset: the bulk
-        // path must land on the same block decomposition as one-at-a-time
-        // frees in any order (here: the shuffled order itself).
-        let mut seq = BuddyAllocator::new(1000);
-        let mut bulk = BuddyAllocator::new(1000);
-        let mut released: Vec<u64> = Vec::new();
-        let mut x = 12345u64;
-        seq.bulk_update(|b| {
-            while let Ok(f) = b.alloc(0) {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if x % 3 != 0 {
-                    released.push(f);
-                }
-            }
-            for &f in &released {
-                b.free(f, 0).unwrap();
-            }
-        });
-        bulk.bulk_update(|b| {
-            b.drain_singles();
-            b.free_singles(&released).unwrap();
-        });
-        assert_eq!(seq.free_frames(), bulk.free_frames());
-        assert_eq!(seq.free_runs(), bulk.free_runs());
-        for o in 0..=MAX_ORDER {
-            assert_eq!(
-                seq.free_blocks_of_order(o),
-                bulk.free_blocks_of_order(o),
-                "order {o} block counts differ"
-            );
-        }
-        bulk.check_invariants().unwrap();
-        // Double-free and out-of-range are rejected.
+    fn pin_sorted_carves_the_gaps_and_refuses_bad_input() {
+        // 1000 frames: the fully free layout ends in a partial region.
+        let mut a = BuddyAllocator::new(1000);
+        a.take_work_counters();
+        a.pin_sorted(&[0, 3, 4, 600, 999]).unwrap();
+        a.check_invariants().unwrap();
+        assert_eq!(a.free_runs(), vec![(1, 2), (5, 595), (601, 398)]);
+        assert_eq!(a.free_frames(), 995);
+        // One index update per run; unindexing the fully free run is
+        // not counted.
+        assert_eq!(a.take_work_counters(), (0, 3));
+        let mut none = BuddyAllocator::new(64);
+        none.pin_sorted(&[]).unwrap();
+        assert_eq!(none.free_runs(), vec![(0, 64)]);
+        none.check_invariants().unwrap();
+        // Only a fully free allocator, only ascending in-range pins.
+        assert_eq!(a.pin_sorted(&[1]), Err(SimError::RangeBusy));
         let mut b = BuddyAllocator::new(64);
-        b.bulk_update(|b| {
-            let got = b.drain_singles();
-            assert_eq!(got.len(), 64);
-            b.free_singles(&[5]).unwrap();
-            assert!(b.free_singles(&[5]).is_err());
-            assert!(b.free_singles(&[64]).is_err());
-            b.free_singles(&(0..64).filter(|&f| f != 5).collect::<Vec<_>>())
-                .unwrap();
-        });
-        b.check_invariants().unwrap();
+        assert_eq!(b.pin_sorted(&[5, 5]), Err(SimError::OutOfRange));
+        assert_eq!(b.pin_sorted(&[7, 5]), Err(SimError::OutOfRange));
+        assert_eq!(b.pin_sorted(&[64]), Err(SimError::OutOfRange));
         assert_eq!(b.free_runs(), vec![(0, 64)]);
+        b.check_invariants().unwrap();
     }
 
     #[test]

@@ -177,20 +177,27 @@ fn index_matches_rescan(seed: u64, cases: u64, frames: (u64, u64), max_ops: u64)
 
 #[test]
 fn bulk_update_rebuild_equals_incremental_maintenance() {
-    // Replaying the same op sequence incrementally and inside one
-    // `bulk_update` (index suspended, rebuilt from rescan at the end)
-    // must leave identical allocators and identical indexes.
-    fn apply(a: &mut BuddyAllocator, ops: &[Op]) {
+    // Building an allocator in one pass from its allocated frames
+    // (`pin_sorted`, the fragmenter's construction) must equal
+    // maintaining it incrementally through the op sequence that
+    // allocated them.
+    let mut seeds = DetRng::new(0xB0DD_1E06);
+    for _ in 0..CASES {
+        let mut rng = seeds.fork();
+        let num_frames = rng.range(512, 4096);
+        let n_ops = rng.range(1, 150);
+        let mut incremental = BuddyAllocator::new(num_frames);
         let mut live: Vec<(u64, u32)> = Vec::new();
-        for op in ops {
-            match *op {
+        for _ in 0..n_ops {
+            match random_op(&mut rng, num_frames) {
                 Op::Alloc(order) => {
-                    if let Ok(start) = a.alloc(order) {
+                    if let Ok(start) = incremental.alloc(order) {
                         live.push((start, order));
                     }
                 }
                 Op::AllocAt { frame, order } => {
-                    if frame + (1 << order) <= a.total_frames() && a.alloc_at(frame, order).is_ok()
+                    if frame + (1 << order) <= num_frames
+                        && incremental.alloc_at(frame, order).is_ok()
                     {
                         live.push((frame, order));
                     }
@@ -198,62 +205,60 @@ fn bulk_update_rebuild_equals_incremental_maintenance() {
                 Op::FreeIdx(i) => {
                     if !live.is_empty() {
                         let (start, order) = live.swap_remove(i % live.len());
-                        a.free(start, order).unwrap();
+                        incremental.free(start, order).unwrap();
                     }
                 }
             }
         }
-    }
-    let mut seeds = DetRng::new(0xB0DD_1E06);
-    for _ in 0..CASES {
-        let mut rng = seeds.fork();
-        let num_frames = rng.range(512, 4096);
-        let n_ops = rng.range(1, 150);
-        let ops: Vec<Op> = (0..n_ops)
-            .map(|_| random_op(&mut rng, num_frames))
+        let allocated: Vec<u64> = (0..num_frames)
+            .filter(|&f| !incremental.is_frame_free(f))
             .collect();
-        let mut incremental = BuddyAllocator::new(num_frames);
-        let mut bulk = BuddyAllocator::new(num_frames);
-        apply(&mut incremental, &ops);
-        bulk.bulk_update(|b| apply(b, &ops));
-        assert_eq!(incremental.free_runs(), bulk.free_runs());
-        assert_eq!(incremental.used_frames(), bulk.used_frames());
-        bulk.check_invariants().unwrap();
+        let mut rebuilt = BuddyAllocator::new(num_frames);
+        rebuilt.pin_sorted(&allocated).unwrap();
+        rebuilt.check_invariants().unwrap();
+        assert_same_layout(&incremental, &rebuilt);
 
         // Release a random subset of the allocated frames two ways: the
         // sorted live release (per stretch of consecutive frames, index
-        // maintained) and the bulk path (bitmap rebuild, index rebuilt
-        // from rescan). Both must land on the same allocator.
-        let released: Vec<u64> = (0..num_frames)
-            .filter(|&f| !incremental.is_frame_free(f) && rng.below(2) == 0)
+        // maintained) and one `free(f, 0)` per frame. Both must land on
+        // the same allocator.
+        let released: Vec<u64> = allocated
+            .iter()
+            .copied()
+            .filter(|_| rng.below(2) == 0)
             .collect();
-        let mut live = incremental.clone();
-        live.free_sorted(&released).unwrap();
-        let mut rebuilt = incremental.clone();
-        rebuilt.bulk_update(|b| b.free_singles(&released)).unwrap();
-        live.check_invariants().unwrap();
-        rebuilt.check_invariants().unwrap();
-        assert_eq!(live.free_runs(), rebuilt.free_runs());
-        assert_eq!(live.free_frames(), rebuilt.free_frames());
-        for o in 0..=MAX_ORDER {
-            assert_eq!(
-                live.free_blocks_of_order(o),
-                rebuilt.free_blocks_of_order(o)
-            );
+        let mut bulk = incremental.clone();
+        bulk.free_sorted(&released).unwrap();
+        let mut sequential = incremental.clone();
+        for &f in &released {
+            sequential.free(f, 0).unwrap();
         }
-        assert_eq!(
-            live.fragmentation_index(HUGE_PAGE_ORDER),
-            rebuilt.fragmentation_index(HUGE_PAGE_ORDER)
-        );
+        bulk.check_invariants().unwrap();
+        sequential.check_invariants().unwrap();
+        assert_same_layout(&sequential, &bulk);
         // A frame freed twice, or out of order, is a bad free.
         if let Some(&f) = released.first() {
-            assert!(live.free_sorted(&[f]).is_err());
+            assert!(bulk.free_sorted(&[f]).is_err());
         }
         if released.len() >= 2 {
             let mut fresh = incremental.clone();
             assert!(fresh.free_sorted(&[released[1], released[0]]).is_err());
         }
     }
+}
+
+/// Asserts that two allocators hold the same free layout: runs, blocks
+/// per order, free frames and FMFI.
+fn assert_same_layout(want: &BuddyAllocator, got: &BuddyAllocator) {
+    assert_eq!(want.free_runs(), got.free_runs());
+    assert_eq!(want.free_frames(), got.free_frames());
+    for o in 0..=MAX_ORDER {
+        assert_eq!(want.free_blocks_of_order(o), got.free_blocks_of_order(o));
+    }
+    assert_eq!(
+        want.fragmentation_index(HUGE_PAGE_ORDER),
+        got.fragmentation_index(HUGE_PAGE_ORDER)
+    );
 }
 
 #[test]

@@ -16,6 +16,13 @@
 //!   the misalignment problem, and the seam Gemini's cross-layer
 //!   coordination hooks into.
 //!
+//! - The memory conditions the paper evaluates under are mechanisms
+//!   too: [`fragment_to`] pins one frame per huge region plus a held
+//!   fraction of memory (the fragmented starting layout, built in time
+//!   proportional to the pins), [`TenantChurn`] keeps breaking large
+//!   free runs, and the [`Compactor`] migrates pins to re-form huge
+//!   blocks.
+//!
 //! Every mutating operation returns [`Effects`], the record of TLB
 //! invalidations, shootdowns and cycle costs the whole-system simulator
 //! must apply to its MMU model and clock.
