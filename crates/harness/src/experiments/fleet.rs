@@ -135,16 +135,18 @@ fn run_host_cell(
     resident_cap_frames: u64,
     seed: u64,
 ) -> Result<HostRun> {
-    // Moderately fragmented hosts, clean guests: the multi-tenant
+    // Fragmented hosts, clean guests: the multi-tenant
     // cloud the paper models keeps *host* memory fragmented around the
     // churning VMs (tenant-churn daemon active), while each arriving
     // VM boots a fresh guest — its guest-side fragmentation is what
     // the lifecycle produces, not an injected precondition. A
     // clean-slate fleet this small never pressures the allocator and
-    // samples a flat-zero FMFI series; the full `frag_target` (0.9)
-    // instead starves both systems of order-9 blocks for these short
-    // lifetimes. Two-thirds of the target leaves the allocator
-    // genuinely contended but recoverable.
+    // samples a flat-zero FMFI series. The host target is two-thirds
+    // of `frag_target`, but the fragmenter only reads a target to
+    // switch itself on, so these hosts get the same layout as the
+    // fully fragmented demo hosts: one pin per huge region plus 12 % of
+    // memory held. Honouring the target would move every fragmented
+    // result, so it is left as is.
     let mut cfg = scale.machine_config(false, false, seed);
     cfg.fragment_host = Some(scale.frag_target * 2.0 / 3.0);
     // Sampling-only tracing: no event ring, just the time series the

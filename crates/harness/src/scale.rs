@@ -20,7 +20,10 @@ pub struct Scale {
     pub host_frames: u64,
     /// Guest physical frames per VM.
     pub vm_frames: u64,
-    /// FMFI target for the "fragmented" variants.
+    /// FMFI target handed to the fragmenter for the "fragmented"
+    /// variants. Any positive value gives the same layout: the
+    /// fragmenter (`gemini_mm::fragment_to`) only reads it to switch
+    /// itself on.
     pub frag_target: f64,
     /// Base seed; experiments derive per-run seeds from it.
     pub seed: u64,

@@ -25,9 +25,13 @@ pub struct MachineConfig {
     pub mmu: MmuConfig,
     /// Memory-management operation costs.
     pub costs: CostModel,
-    /// Fragment guest memory to this FMFI before the run.
+    /// Fragment each guest's memory before the run
+    /// ([`gemini_mm::fragment_to`]): one pin per huge region plus 12 % of
+    /// memory held. The value is the fragmenter's FMFI target, which
+    /// only switches it on: every positive target gives that layout.
     pub fragment_guest: Option<f64>,
-    /// Fragment host memory to this FMFI before the run.
+    /// Fragment host memory before the run, as `fragment_guest` does
+    /// each guest's.
     pub fragment_host: Option<f64>,
     /// The workload keeps many zero pages in use (HawkEye's dedup).
     pub zero_heavy: bool,
