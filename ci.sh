@@ -12,7 +12,11 @@ echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test (workspace) =="
+# Tier-1 time is an end-to-end number too: print it for the record.
+start=$(date +%s%N)
 cargo test --workspace --offline -q
+end=$(date +%s%N)
+echo "timing: tier-1 wall_ms=$(( (end - start) / 1000000 ))"
 
 echo "== parallel determinism (GEMINI_JOBS=2) =="
 # The determinism suite compares jobs=1 against jobs=4 by default; run it
@@ -21,7 +25,8 @@ GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test parallel_determin
 
 echo "== layer parity + golden byte-identity (GEMINI_JOBS=2) =="
 # Same policy through the guest and host LayerEngine instantiations, and
-# the fig3/fig8 grids against their pre-refactor goldens, at two worker
+# the fig. 3 and fig. 8 grids, the fig. 17/18 collocation grid and the
+# fleet hosts against their goldens (tests/golden/), at two worker
 # counts.
 GEMINI_JOBS=2 cargo test --offline -q -p gemini-harness --test layer_parity
 
