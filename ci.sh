@@ -80,7 +80,12 @@ echo "== fleet lifecycle smoke (demo scale, GEMINI_JOBS=2) =="
 # The long-horizon arrival/departure scenario end to end: >= 100 VM
 # lifecycles per system at demo scale, first-fit packed over four
 # hosts, every VM torn down through the leak-checked remove_vm path.
+# Each teardown ends in a full buddy invariant check, so the smoke's
+# wall time tracks that path: print it like the tier-1 line.
+start=$(date +%s%N)
 GEMINI_JOBS=2 "$BIN" fleet --scale demo --jobs 2 > /dev/null
+end=$(date +%s%N)
+echo "timing: fleet demo jobs=2 wall_ms=$(( (end - start) / 1000000 ))"
 echo "fleet: demo-scale lifecycle grid drained leak-free"
 
 echo "== record/replay smoke (quick scale, GEMINI_JOBS=2) =="

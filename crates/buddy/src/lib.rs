@@ -31,7 +31,14 @@
 //!   built in one pass over the gaps between them, so fragmenting a host
 //!   costs time proportional to the pins, not to its size;
 //! - [`BuddyAllocator::free_area_counts`] — per-order free-block counts for
-//!   the fragmentation index (FMFI) that Ingens and Algorithm 1 consume.
+//!   the fragmentation index (FMFI) that Ingens and Algorithm 1 consume;
+//! - [`BuddyAllocator::check_invariants`] — the full consistency check
+//!   every VM teardown ends with. Because eager merging makes the block
+//!   decomposition of a free-frame set unique (the greedy aligned carve
+//!   of each maximal run), a healthy allocator is certified from its run
+//!   index: carve the indexed runs and compare the result with the
+//!   block markers in one slice compare. A byte-by-byte scan of the
+//!   markers runs only when that fails, to name the violation.
 //!
 //! All addresses here are *frame numbers* (base-page indices); callers
 //! convert to/from [`gemini_sim_core::Gpa`]/[`gemini_sim_core::Hpa`].
@@ -68,6 +75,14 @@ pub const MAX_ORDER: u32 = 10;
 /// Marks a frame that is not the start of a free block in
 /// [`BuddyAllocator::order_of`].
 const NO_BLOCK: u8 = u8::MAX;
+
+/// Number of block orders, `0..=MAX_ORDER`.
+const ORDERS: usize = MAX_ORDER as usize + 1;
+
+/// Run lengths below this are counted in a dense array when the run
+/// index is certified; a fragmented layout has almost no longer runs,
+/// since one frame per huge region is pinned.
+const SHORT_RUNS: usize = 2 * PAGES_PER_HUGE_PAGE as usize;
 
 /// A binary buddy allocator over a contiguous range of page frames.
 ///
@@ -754,17 +769,109 @@ impl BuddyAllocator {
         self.count_index_updates(1 + u64::from(right));
     }
 
-    /// Verifies every internal invariant in one pass over `order_of`.
-    ///
-    /// Not only for tests: it runs after every leak-checked VM teardown
-    /// (`Machine::remove_vm`), so it is one O(frames managed) pass with a
-    /// small constant. Checks that blocks are in-range,
+    /// Verifies every internal invariant: that blocks are in range,
     /// aligned, disjoint and merged with their buddies; that the
     /// per-order counts, min-start hints and free-frame count match the
     /// blocks; and that the run index — both bitsets, their summary and
     /// the size histogram — equals the maximal runs the blocks form.
     /// Each violation is reported by its own [`SimError::Invariant`].
+    ///
+    /// Not only for tests: it runs after every leak-checked VM teardown
+    /// (`Machine::remove_vm`). A healthy allocator is certified from its
+    /// run index (`certify`): eager merging makes the block
+    /// decomposition of a free-frame set unique — the greedy carve of
+    /// each maximal run into aligned blocks — so `order_of` must equal
+    /// the carve of the indexed runs, which one slice compare settles.
+    /// The cost is one step per run and per block plus a byte compare
+    /// per frame. Only when that certificate fails does the one-pass
+    /// scan over `order_of` run, to name the violation; it accepts
+    /// exactly the states the certifier accepts.
     pub fn check_invariants(&self) -> Result<(), SimError> {
+        if self.certify() {
+            return Ok(());
+        }
+        self.scan_invariants()
+    }
+
+    /// True when the allocator is healthy, decided from the run index.
+    ///
+    /// Walks the run-start and run-end bitsets in address order, word by
+    /// word rather than through the summary levels, which are under
+    /// check themselves. It pairs the k-th start with the k-th end and
+    /// requires the runs in range, disjoint and separated by at least
+    /// one allocated frame (so each is maximal). Each run is carved into
+    /// its greedy aligned blocks ([`aligned_blocks`]), written into a
+    /// marker image, and counted per order, per lowest start, in frames
+    /// and by length. The carved blocks are in range, aligned and
+    /// disjoint by construction, and merged because a run is maximal:
+    /// two free same-order buddies form an aligned block the greedy
+    /// carve would have taken whole. So `order_of` equal to the image
+    /// means the blocks satisfy every block invariant and form exactly
+    /// the indexed runs; the counts, hints, free-frame total, histogram
+    /// and summary levels are then held against the same walk.
+    /// Conversely, a state [`Self::scan_invariants`] accepts has the
+    /// carve as its unique decomposition, so the two accept the same
+    /// states.
+    fn certify(&self) -> bool {
+        let mut image = vec![NO_BLOCK; self.total_frames as usize];
+        let mut per_order = [0u64; ORDERS];
+        let mut lowest = [u64::MAX; ORDERS];
+        let mut counted = 0u64;
+        let mut runs = 0u64;
+        // Runs per length: dense below `SHORT_RUNS`, listed above it.
+        // (A map here would share the histogram's `BTreeMap` entry code
+        // and change how it is inlined into every alloc and free.)
+        let mut short = [0u64; SHORT_RUNS];
+        let mut long = Vec::new();
+        // The lowest frame the next run may start at.
+        let mut next_start = 0u64;
+        for (start, last) in set_bits(&self.runs.starts).zip(set_bits(&self.runs.ends)) {
+            if start < next_start || last < start || last >= self.total_frames {
+                return false;
+            }
+            for (block, order) in aligned_blocks(start, last + 1) {
+                image[block as usize] = order as u8;
+                per_order[order as usize] += 1;
+                lowest[order as usize] = lowest[order as usize].min(block);
+            }
+            let len = last + 1 - start;
+            match short.get_mut(len as usize) {
+                Some(count) => *count += 1,
+                None => long.push(len),
+            }
+            counted += len;
+            runs += 1;
+            next_start = last + 2;
+        }
+        // Lengths in ascending order with their counts, as the
+        // histogram lists them.
+        long.sort_unstable();
+        let mut long_counts: Vec<(u64, u64)> = Vec::new();
+        for len in long {
+            match long_counts.last_mut() {
+                Some((last, count)) if *last == len => *count += 1,
+                _ => long_counts.push((len, 1)),
+            }
+        }
+        let lens = short
+            .iter()
+            .zip(0u64..)
+            .filter(|&(&count, _)| count > 0)
+            .map(|(&count, len)| (len, count))
+            .chain(long_counts);
+        image == self.order_of
+            && per_order[..] == self.counts[..]
+            && (0..ORDERS).all(|o| per_order[o] == 0 || self.min_start[o] <= lowest[o])
+            && counted == self.free_frames
+            && lens.eq(self.runs_by_size.iter().map(|(&len, &count)| (len, count)))
+            && self.runs.consistent_with(runs)
+    }
+
+    /// Verifies every invariant in one pass over `order_of`, reporting
+    /// the first violation found by its own message: the explainer
+    /// [`Self::check_invariants`] falls back to when the certificate
+    /// fails, and the oracle the certifier is tested against.
+    fn scan_invariants(&self) -> Result<(), SimError> {
         let n = self.total_frames;
         let mut per_order = [0u64; (MAX_ORDER + 1) as usize];
         let mut lowest = [u64::MAX; (MAX_ORDER + 1) as usize];
@@ -921,6 +1028,11 @@ fn word_of(f: u64) -> usize {
 /// Frame `f`'s bit inside its word.
 fn bit_of(f: u64) -> u64 {
     1 << (f % 64)
+}
+
+/// Every set bit of `bits`, in ascending order.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    std::iter::successors(next_one(bits, 0), |&i| next_one(bits, i + 1)).map(|i| i as u64)
 }
 
 /// The lowest set bit of `bits` at or after bit `i`.
@@ -1157,7 +1269,7 @@ impl Iterator for FreeRuns<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemini_sim_core::HUGE_PAGE_ORDER;
+    use gemini_sim_core::{DetRng, HUGE_PAGE_ORDER};
 
     #[test]
     fn new_allocator_is_fully_free_and_coalesced() {
@@ -1589,6 +1701,180 @@ mod tests {
             corrupt(&mut a);
             assert_eq!(a.check_invariants(), Err(SimError::Invariant(want)));
         }
+    }
+
+    /// A healthy allocator of a random size — a multiple of 512, of 64
+    /// only, or anything — that is clean, pinned by `pin_sorted`, or
+    /// driven by a random `alloc`/`alloc_at`/`free`/`free_sorted`
+    /// history with orders up to `MAX_ORDER`.
+    fn random_valid_allocator(rng: &mut DetRng) -> BuddyAllocator {
+        let frames = match rng.below(3) {
+            0 => 512 * rng.range(1, 9),
+            1 => 64 * rng.range(1, 80),
+            _ => rng.range(1, 5000),
+        };
+        let mut a = BuddyAllocator::new(frames);
+        match rng.below(3) {
+            0 => {}
+            1 => {
+                let every = rng.range(1, 64);
+                let pins: Vec<u64> = (0..frames).filter(|_| rng.below(every) == 0).collect();
+                a.pin_sorted(&pins).unwrap();
+            }
+            _ => {
+                let mut live: Vec<(u64, u32)> = Vec::new();
+                for _ in 0..rng.range(1, 120) {
+                    let order = rng.below(u64::from(MAX_ORDER) + 1) as u32;
+                    match rng.below(4) {
+                        0 => {
+                            if let Ok(start) = a.alloc(order) {
+                                live.push((start, order));
+                            }
+                        }
+                        1 => {
+                            let start = rng.below(frames) & !((1u64 << order) - 1);
+                            if a.alloc_at(start, order).is_ok() {
+                                live.push((start, order));
+                            }
+                        }
+                        2 if !live.is_empty() => {
+                            let (start, order) =
+                                live.swap_remove(rng.below(live.len() as u64) as usize);
+                            a.free(start, order).unwrap();
+                        }
+                        _ if !live.is_empty() => {
+                            // Release a random subset of a few blocks'
+                            // frames at once; the rest stay allocated as
+                            // single frames.
+                            let mut taken: Vec<u64> = Vec::new();
+                            for _ in 0..rng.range(1, 4).min(live.len() as u64) {
+                                let (start, order) =
+                                    live.swap_remove(rng.below(live.len() as u64) as usize);
+                                taken.extend(start..start + (1 << order));
+                            }
+                            taken.sort_unstable();
+                            let (freed, kept): (Vec<u64>, Vec<u64>) =
+                                taken.into_iter().partition(|_| rng.below(2) == 0);
+                            a.free_sorted(&freed).unwrap();
+                            live.extend(kept.into_iter().map(|f| (f, 0)));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        a
+    }
+
+    /// Corrupts one field `check_invariants` reads, at a random place.
+    fn corrupt_one_field(a: &mut BuddyAllocator, rng: &mut DetRng) {
+        let flip = |bits: &mut [u64], rng: &mut DetRng| {
+            let bit = rng.below(bits.len() as u64 * 64);
+            bits[(bit / 64) as usize] ^= 1 << (bit % 64);
+        };
+        let order = rng.below(ORDERS as u64) as usize;
+        match rng.below(9) {
+            0 => {
+                let f = rng.below(a.total_frames) as usize;
+                a.order_of[f] = match rng.below(3) {
+                    0 => NO_BLOCK,
+                    1 => rng.below(u64::from(MAX_ORDER) + 2) as u8,
+                    _ => a.order_of[f].wrapping_add(1),
+                };
+            }
+            1 if a.counts[order] > 0 && rng.below(2) == 0 => a.counts[order] -= 1,
+            1 => a.counts[order] += 1,
+            2 => a.min_start[order] = rng.below(a.total_frames + 2),
+            3 if a.free_frames > 0 && rng.below(2) == 0 => a.free_frames -= 1,
+            3 => a.free_frames += 1,
+            4 => flip(&mut a.runs.starts, rng),
+            5 => flip(&mut a.runs.ends, rng),
+            6 => flip(&mut a.runs.summary, rng),
+            7 => flip(&mut a.runs.top, rng),
+            _ => {
+                let lens: Vec<u64> = a.runs_by_size.keys().copied().collect();
+                let len = match rng.below(2) {
+                    0 if !lens.is_empty() => lens[rng.below(lens.len() as u64) as usize],
+                    _ => rng.range(1, a.total_frames + 2),
+                };
+                let count = a.runs_by_size.entry(len).or_insert(0);
+                match rng.below(3) {
+                    0 => *count += 1,
+                    // May leave an entry counting zero runs.
+                    1 => *count = count.saturating_sub(1),
+                    _ => {
+                        a.runs_by_size.remove(&len);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Indexes one run of `a` that holds several blocks as two abutting
+    /// runs, split at a random block boundary, with bits, summary and
+    /// histogram kept consistent. Any such split leaves the greedy carve
+    /// unchanged, so only the runs' maximality tells it apart. Returns
+    /// false when no run holds two blocks.
+    fn split_indexed_run(a: &mut BuddyAllocator, rng: &mut DetRng) -> bool {
+        let splits: Vec<(u64, u64, u64)> = a
+            .free_runs()
+            .into_iter()
+            .flat_map(|(start, len)| {
+                aligned_blocks(start, start + len)
+                    .skip(1)
+                    .map(move |(at, _)| (start, len, at))
+            })
+            .collect();
+        if splits.is_empty() {
+            return false;
+        }
+        let (start, len, at) = splits[rng.below(splits.len() as u64) as usize];
+        a.runs.set_end(at - 1);
+        a.runs.set_start(at);
+        a.size_dec(len);
+        a.size_inc(at - start);
+        a.size_inc(start + len - at);
+        true
+    }
+
+    #[test]
+    fn certifier_accepts_exactly_what_the_scan_accepts() {
+        // The certifier must accept every healthy allocator, never
+        // accept a state the scan rejects, and `check_invariants` must
+        // return the scan's verdict, message included, on every state.
+        // The check must not count as allocator work either.
+        let mut seeds = DetRng::new(0xCE27_1F1E);
+        let mut rejected = 0;
+        for _ in 0..400 {
+            let mut rng = seeds.fork();
+            let valid = random_valid_allocator(&mut rng);
+            valid.take_work_counters();
+            assert!(valid.certify(), "certifier rejected a healthy allocator");
+            assert_eq!(valid.scan_invariants(), Ok(()));
+            assert_eq!(valid.check_invariants(), Ok(()));
+            assert_eq!(valid.take_work_counters(), (0, 0));
+            let mut split = valid.clone();
+            if split_indexed_run(&mut split, &mut rng) {
+                let want = Err(SimError::Invariant("run index out of sync with order_of"));
+                assert_eq!(split.scan_invariants(), want);
+                assert!(!split.certify(), "certifier accepted abutting runs");
+                assert_eq!(split.check_invariants(), want);
+            }
+            for _ in 0..20 {
+                let mut a = valid.clone();
+                corrupt_one_field(&mut a, &mut rng);
+                let scan = a.scan_invariants();
+                assert_eq!(
+                    a.certify(),
+                    scan.is_ok(),
+                    "certifier and scan disagree: {scan:?}"
+                );
+                assert_eq!(a.check_invariants(), scan);
+                rejected += u32::from(scan.is_err());
+            }
+        }
+        // Most single-field corruptions break an invariant.
+        assert!(rejected > 4000, "only {rejected} corrupted states rejected");
     }
 
     #[test]

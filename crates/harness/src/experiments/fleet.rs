@@ -16,7 +16,7 @@ use crate::exec::run_cells;
 use crate::report::Table;
 use crate::scale::Scale;
 use gemini_obs::{SamplePoint, TraceConfig};
-use gemini_sim_core::{derive_seed, Cycles, Result};
+use gemini_sim_core::{derive_seed, Cycles, Result, SimError};
 use gemini_vm_sim::{FleetArrival, FleetOutcome, Machine, SystemKind};
 use gemini_workloads::{FleetPlan, FleetSpec, HostPlan, WorkloadGen};
 
@@ -112,16 +112,23 @@ pub fn run(scale: &Scale) -> Result<FleetResults> {
 
 /// Runs one host of `system`'s fleet plan in isolation (fast-forward
 /// parity checks and CI smoke cells). The host sees exactly the
-/// arrival sequence, cap and seed it would get inside [`run`].
+/// arrival sequence, cap and seed it would get inside [`run`]. A system
+/// outside [`SYSTEMS`] has no fleet plan and is refused with
+/// [`SimError::UnsupportedSystem`].
 pub fn run_host(system: SystemKind, scale: &Scale, host: u32) -> Result<HostRun> {
     let spec = fleet_spec(scale);
-    let si = SYSTEMS.iter().position(|&s| s == system).unwrap_or(0) as u64;
+    let si = SYSTEMS
+        .iter()
+        .position(|&s| s == system)
+        .ok_or(SimError::UnsupportedSystem(system.label()))? as u64;
     let plan_seed = scale.seed_for("fleet", si);
     let plan = FleetPlan::generate(&spec, plan_seed);
     let cap = plan.resident_cap_frames;
-    let host_plan = plan.hosts.into_iter().find(|h| h.host == host).ok_or(
-        gemini_sim_core::SimError::Invariant("fleet host out of range"),
-    )?;
+    let host_plan = plan
+        .hosts
+        .into_iter()
+        .find(|h| h.host == host)
+        .ok_or(SimError::Invariant("fleet host out of range"))?;
     let seed = derive_seed(plan_seed, "fleet-host", host as u64);
     run_host_cell(system, scale, host_plan, cap, seed)
 }
@@ -299,6 +306,15 @@ mod tests {
         assert!(rendered.contains("GEMINI") || rendered.contains("Gemini"));
         // The sampler produced a real long-horizon series.
         assert!(res.runs.iter().any(|r| r.samples.len() > 4));
+    }
+
+    #[test]
+    fn run_host_refuses_a_system_outside_the_fleet() {
+        // Host-B-VM-B has no fleet plan; it must not borrow THP's.
+        assert_eq!(
+            run_host(SystemKind::HostBVmB, &Scale::quick(), 0).unwrap_err(),
+            SimError::UnsupportedSystem(SystemKind::HostBVmB.label())
+        );
     }
 
     #[test]

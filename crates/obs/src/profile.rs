@@ -64,10 +64,6 @@ pub enum Phase {
     /// Applying TLB invalidations and shootdown accounting to the MMU
     /// model.
     TlbShootdown,
-    /// Closed-form hit-run batching: advancing counters, cost and the
-    /// virtual clock over a provably hit-only access run without
-    /// touching the TLB set arrays (DESIGN.md §16).
-    BatchedAccess,
     /// Parallel-executor bookkeeping (queue pops, result stores) —
     /// everything a worker does that is not the cell itself.
     Executor,
@@ -75,7 +71,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Setup,
         Phase::WorkloadGen,
         Phase::Access,
@@ -85,7 +81,6 @@ impl Phase {
         Phase::Promotion,
         Phase::Demotion,
         Phase::TlbShootdown,
-        Phase::BatchedAccess,
         Phase::Executor,
     ];
 
@@ -101,7 +96,6 @@ impl Phase {
             Phase::Promotion => "promotion",
             Phase::Demotion => "demotion",
             Phase::TlbShootdown => "tlb_shootdown",
-            Phase::BatchedAccess => "batched_access",
             Phase::Executor => "executor",
         }
     }
@@ -117,11 +111,7 @@ impl Phase {
     pub fn in_timeline(self) -> bool {
         !matches!(
             self,
-            Phase::FaultPath
-                | Phase::TlbShootdown
-                | Phase::Promotion
-                | Phase::Demotion
-                | Phase::BatchedAccess
+            Phase::FaultPath | Phase::TlbShootdown | Phase::Promotion | Phase::Demotion
         )
     }
 

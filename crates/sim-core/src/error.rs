@@ -79,6 +79,11 @@ pub enum SimError {
         /// neither `Clone` nor `Eq`, which this enum requires).
         detail: String,
     },
+    /// An experiment was asked to run a system it does not cover; it
+    /// has no plan, seed or configuration for it. Carries the system's
+    /// label only: a second string would grow `SimError`, and with it
+    /// every `Result` on the simulator's hot paths, from 32 to 40 bytes.
+    UnsupportedSystem(&'static str),
     /// An invariant was violated; carries a static description.
     Invariant(&'static str),
 }
@@ -116,6 +121,9 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::TraceIo { detail } => write!(f, "trace I/O failed: {detail}"),
+            SimError::UnsupportedSystem(system) => {
+                write!(f, "system {system} is not part of this experiment")
+            }
             SimError::Invariant(msg) => write!(f, "invariant violated: {msg}"),
         }
     }
@@ -126,6 +134,14 @@ impl std::error::Error for SimError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn errors_stay_four_words() {
+        // Every fallible hot-path call returns `Result<_, SimError>`; a
+        // wider error widens all of them.
+        assert!(std::mem::size_of::<SimError>() <= 32);
+        assert!(std::mem::size_of::<crate::Result<u64>>() <= 32);
+    }
 
     #[test]
     fn errors_render_human_readable_text() {
@@ -162,5 +178,9 @@ mod tests {
         }
         .to_string()
         .contains("broken pipe"));
+        assert_eq!(
+            SimError::UnsupportedSystem("Host-B-VM-B").to_string(),
+            "system Host-B-VM-B is not part of this experiment"
+        );
     }
 }

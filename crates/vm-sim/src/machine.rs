@@ -807,7 +807,6 @@ impl Machine {
                             // while the common no-run case skips the
                             // call entirely.
                             let epoch = vs.mmu.stability_epoch();
-                            let _batch = self.prof.span(Phase::BatchedAccess);
                             if let Some(cost) =
                                 vs.mmu
                                     .advance_batched_hits(vm, gva_frame, out.huge_entry, n, epoch)
@@ -874,9 +873,11 @@ impl Machine {
     /// Every teardown runs an explicit leak check: the frames the EPT
     /// held must exactly match what the allocator got back, and the
     /// buddy's full invariants (free-frame accounting, block layout,
-    /// run index == the runs the blocks form) must hold afterwards. That
-    /// check is one O(host frames) pass, the only step of a teardown
-    /// not proportional to the VM.
+    /// run index == the runs the blocks form) must hold afterwards. The
+    /// buddy certifies those from its run index: one step per free run
+    /// and per free block, plus one byte compare per host frame — the
+    /// only part of a teardown that follows the host's size rather than
+    /// the VM's.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<u64> {
         let _setup = self.prof.span(Phase::Setup);
         self.clear_workload(vm)?;
